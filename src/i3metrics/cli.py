@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import Catalog, catalog_stats, load_catalog
@@ -22,26 +22,13 @@ from .core import compute_beta, solve_beta
 from .dynamics import curve_points, curve_family_to_csv, dynamics_report, \
     dynamics_to_csv, dynamics_to_json
 from .errors import InputError, ResolutionError
-from .formats import fmt_beta, fmt_score
+from .formats import csv_text, fmt_beta, fmt_score
 from .generate import generate_corpus
 from .ledger import IF_MODES, Ledger, load_ledger
 from .ranking import matthew_comparison, matthew_to_csv, matthew_to_obj, \
     rank, report_to_obj, reports_to_csv, reports_to_json, score_articles
 
-__all__ = ["RunConfig", "build_parser", "main", "console"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation configuration shared by the subcommands."""
-
-    catalog_path: Path | None = None
-    articles_path: Path | None = None
-    citations_path: Path | None = None
-    output_format: str = "csv"
-    if_mode: str = "current"
-    fallback_if: float | None = None
-    seed: int | None = None
+__all__ = ["build_parser", "main", "console"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--if-mode", choices=list(IF_MODES), default="current",
                       help="impact factors as of the event year (historical) "
                            "or the newest available (current); default current")
-    data.add_argument("--fallback-if", type=float, default=None, metavar="X",
+    data.add_argument("--fallback-if", type=_impact_factor, default=None, metavar="X",
                       help="impact factor assumed for citing journals missing "
                            "from the catalog (default: strict resolution)")
 
@@ -177,11 +164,11 @@ def _cmd_rank(args) -> str:
     if args.format == "json":
         obj = {"ranking": [report_to_obj(r) for r in ranked]}
         if args.matthew:
-            obj["matthew"] = matthew_to_obj(matthew_comparison(reports))
+            obj["matthew"] = matthew_to_obj(matthew_comparison(ranked))
         return json.dumps(obj, indent=2) + "\n"
     text = reports_to_csv(ranked)
     if args.matthew:
-        text += "\n" + matthew_to_csv(matthew_comparison(reports))
+        text += "\n" + matthew_to_csv(matthew_comparison(ranked))
     return text
 
 
@@ -237,12 +224,12 @@ def _cmd_catalog_stats(args) -> str:
             "mean_if": stats.mean_if,
         }
         return json.dumps(obj, indent=2) + "\n"
-    lines = ["category,phi,beta,mean_if"]
-    for c in stats.categories:
-        lines.append(f"{c.category},{c.phi},{fmt_beta(c.beta)},{fmt_score(c.mean_if)}")
-    lines.append(f"mean_phi,{fmt_score(stats.mean_phi)}")
-    lines.append(f"mean_if,{fmt_score(stats.mean_if)}")
-    return "\n".join(lines) + "\n"
+    rows = [("category", "phi", "beta", "mean_if")]
+    rows += [(c.category, c.phi, fmt_beta(c.beta), fmt_score(c.mean_if))
+             for c in stats.categories]
+    rows += [("mean_phi", fmt_score(stats.mean_phi)),
+             ("mean_if", fmt_score(stats.mean_if))]
+    return csv_text(rows)
 
 
 _HANDLERS = {
@@ -258,36 +245,35 @@ _HANDLERS = {
 
 # -- plumbing ----------------------------------------------------------
 
-def _config_from(args) -> RunConfig:
-    fallback = getattr(args, "fallback_if", None)
-    if fallback is not None and fallback < 0:
-        raise InputError(f"--fallback-if must be non-negative, got {fallback}")
-    return RunConfig(
-        catalog_path=Path(args.catalog),
-        articles_path=Path(args.articles),
-        citations_path=Path(args.citations),
-        output_format=getattr(args, "format", "csv"),
-        if_mode=getattr(args, "if_mode", "current"),
-        fallback_if=fallback,
-    )
+# UTF-8, skipping a leading byte order mark so it never reaches the header.
+_ENCODING = "utf-8-sig"
+
+
+def _impact_factor(raw: str) -> float:
+    """argparse type for ``--fallback-if``: a finite number >= 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {raw!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and non-negative, got {raw!r}")
+    return value
 
 
 def _load_inputs(args) -> tuple[Catalog, Ledger]:
-    config = _config_from(args)
-    _check_readable(config.catalog_path, config.articles_path,
-                    config.citations_path)
-    catalog = _read_catalog(config.catalog_path)
-    with open(config.articles_path, encoding="utf-8", newline="") as articles, \
-            open(config.citations_path, encoding="utf-8", newline="") as citations:
-        ledger = load_ledger(articles, citations,
-                             articles_source=str(config.articles_path),
-                             citations_source=str(config.citations_path))
+    _check_readable(args.catalog, args.articles, args.citations)
+    catalog = _read_catalog(args.catalog)
+    with open(args.articles, encoding=_ENCODING, newline="") as articles, \
+            open(args.citations, encoding=_ENCODING, newline="") as citations:
+        ledger = load_ledger(articles, citations, articles_source=args.articles,
+                             citations_source=args.citations)
     return catalog, ledger
 
 
 def _read_catalog(path) -> Catalog:
     _check_readable(path)
-    with open(path, encoding="utf-8", newline="") as stream:
+    with open(path, encoding=_ENCODING, newline="") as stream:
         return load_catalog(stream, source=str(path))
 
 

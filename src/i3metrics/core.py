@@ -77,8 +77,8 @@ def solve_beta(target_i3: float, f: float) -> float:
     """
     if not 0.0 < target_i3 < 1.0:
         raise ValueError(f"target index must lie in (0, 1), got {target_i3!r}")
-    if not f > 0.0:
-        raise ValueError(f"citation mass must be > 0, got {f!r}")
+    if not 0.0 < f < math.inf:
+        raise ValueError(f"citation mass must be finite and > 0, got {f!r}")
     return -math.log1p(-target_i3) / f
 
 

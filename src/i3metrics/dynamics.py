@@ -24,7 +24,7 @@ from typing import Sequence
 from .catalog import Catalog
 from .core import compute_i3, i3_auc, i3_derivative
 from .errors import InputError
-from .formats import fmt_beta, fmt_score
+from .formats import csv_text, fmt_beta, fmt_score
 from .ledger import Ledger, f_score
 
 __all__ = [
@@ -82,7 +82,7 @@ def dynamics_report(
     """
     if not years:
         raise InputError("years must not be empty")
-    if any(not isinstance(y, int) or y < 1 for y in years):
+    if any(isinstance(y, bool) or not isinstance(y, int) or y < 1 for y in years):
         raise InputError(f"years must be positive integers, got {list(years)!r}")
     if any(a >= b for a, b in zip(years, years[1:])):
         raise InputError(f"years must be strictly ascending, got {list(years)!r}")
@@ -165,21 +165,15 @@ def curve_points(beta: float, f_max: float, n: int) -> list[tuple[float, float]]
 
 def dynamics_to_csv(report: DynamicsReport) -> str:
     """One line per anniversary; ratio columns print NA when undefined."""
-    lines = [",".join(DYNAMICS_HEADER)]
-    for point in report.series:
-        lines.append(",".join([
-            report.article_id,
-            fmt_beta(report.beta),
-            str(point.t),
-            fmt_score(point.f_t),
-            fmt_score(point.i3_t),
-            _fmt_ratio(point.cr_simple),
-            _fmt_ratio(point.cr_integral),
-            fmt_score(report.auc_full),
-            fmt_score(report.derivative_at_full),
-            "cr>1" if point.exceeds_unity else "",
-        ]))
-    return "\n".join(lines) + "\n"
+    rows = [DYNAMICS_HEADER]
+    rows += [
+        (report.article_id, fmt_beta(report.beta), point.t, fmt_score(point.f_t),
+         fmt_score(point.i3_t), _fmt_ratio(point.cr_simple), _fmt_ratio(point.cr_integral),
+         fmt_score(report.auc_full), fmt_score(report.derivative_at_full),
+         "cr>1" if point.exceeds_unity else "")
+        for point in report.series
+    ]
+    return csv_text(rows)
 
 
 def dynamics_to_json(report: DynamicsReport) -> str:
@@ -210,14 +204,14 @@ def curve_family_to_csv(curves: Sequence[tuple[float, list[tuple[float, float]]]
     header = []
     for beta, _ in curves:
         header += [f"f(beta={fmt_beta(beta)})", f"i3(beta={fmt_beta(beta)})"]
-    lines = [",".join(header)]
+    rows = [header]
     for i in range(len(curves[0][1])):
         row = []
         for _, points in curves:
             f, value = points[i]
             row += [fmt_score(f), fmt_score(value)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return csv_text(rows)
 
 
 def _fmt_ratio(value: float | None) -> str:

@@ -24,9 +24,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
-from .catalog import Catalog, canonical_name
+from .catalog import Catalog, _data_rows, _expect_header, canonical_name
 from .errors import InputError, ResolutionError
 
 __all__ = [
@@ -55,7 +55,8 @@ class ArticleRecord:
 
 @dataclass(frozen=True)
 class CitationEvent:
-    article_id: str
+    """One citation; the cited article is the key it is stored under."""
+
     citing_journal: str
     date: dt.date
 
@@ -127,7 +128,7 @@ def load_ledger(
                 f"({article.publication_date})"
             )
         citations.setdefault(article_id, []).append(
-            CitationEvent(article_id, citing_journal, cited)
+            CitationEvent(citing_journal, cited)
         )
 
     for events in citations.values():
@@ -170,9 +171,7 @@ def f_score(
     """
     if if_mode not in IF_MODES:
         raise ValueError(f"if_mode must be one of {IF_MODES}, got {if_mode!r}")
-    if as_of is not None and (not isinstance(as_of, int) or as_of < 0):
-        raise ValueError(f"as_of must be a whole number of years >= 0, got {as_of!r}")
-    article = ledger.article(article_id)
+    article, events = _events_as_of(ledger, article_id, as_of)
 
     try:
         if if_mode == "historical":
@@ -182,18 +181,13 @@ def f_score(
     except ResolutionError as exc:
         raise ResolutionError(f"article {article_id!r}: {exc}") from None
 
-    events: Iterable[CitationEvent] = ledger.events(article_id)
-    if as_of is not None:
-        cutoff = shift_years(article.publication_date, as_of)
-        events = (e for e in events if e.date <= cutoff)
-
     # Group events by citing journal (and year, when IFs are historical);
     # each group contributes count * impact factor.
     groups: dict[tuple[str, int | None], int] = {}
     display: dict[str, str] = {}
     for event in events:
         key = canonical_name(event.citing_journal)
-        display.setdefault(key, event.citing_journal.strip())
+        display.setdefault(key, event.citing_journal)
         year = event.date.year if if_mode == "historical" else None
         groups[key, year] = groups.get((key, year), 0) + 1
 
@@ -220,12 +214,7 @@ def f_score(
 
 def citation_count(ledger: Ledger, article_id: str, as_of: int | None = None) -> int:
     """Number of citation events, optionally truncated like :func:`f_score`."""
-    article = ledger.article(article_id)
-    events = ledger.events(article_id)
-    if as_of is None:
-        return len(events)
-    cutoff = shift_years(article.publication_date, as_of)
-    return sum(1 for e in events if e.date <= cutoff)
+    return len(_events_as_of(ledger, article_id, as_of)[1])
 
 
 def validate_truncation(
@@ -246,27 +235,20 @@ def _group_order(item: tuple[tuple[str, int | None], int]):
     return (name, year if year is not None else 0)
 
 
-def _expect_header(reader, expected: list[str], source: str) -> None:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{source}: empty file, expected header {','.join(expected)}") from None
-    if [cell.strip() for cell in header] != expected:
-        raise InputError(
-            f"{source} line 1: expected header {','.join(expected)}, "
-            f"got {','.join(header)}"
-        )
-
-
-def _data_rows(reader, width: int, source: str):
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise InputError(
-                f"{source} line {lineno}: expected {width} fields, got {len(row)}"
-            )
-        yield lineno, row
+def _events_as_of(
+    ledger: Ledger, article_id: str, as_of: int | None
+) -> tuple[ArticleRecord, list[CitationEvent]]:
+    """The article and its citations up to ``as_of`` years after publication (all if None)."""
+    if as_of is not None and (
+        isinstance(as_of, bool) or not isinstance(as_of, int) or as_of < 0
+    ):
+        raise ValueError(f"as_of must be a whole number of years >= 0, got {as_of!r}")
+    article = ledger.article(article_id)
+    events = ledger.events(article_id)
+    if as_of is not None:
+        cutoff = shift_years(article.publication_date, as_of)
+        events = [e for e in events if e.date <= cutoff]
+    return article, events
 
 
 def _parse_date(raw: str, source: str, lineno: int) -> dt.date:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 from .catalog import Catalog
 from .core import compute_i3, i3_auc
 from .errors import InputError
-from .formats import fmt_beta, fmt_score
+from .formats import csv_text, fmt_beta, fmt_score
 from .ledger import Ledger, citation_count, f_score
 
 __all__ = [
@@ -56,7 +57,7 @@ MIN_PERCENTILE_SAMPLE = 20
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Scored article, plus rank fields filled in by :func:`assign_ranks`."""
+    """Scored article, plus rank fields filled in by :func:`rank`."""
 
     article_id: str
     category: str
@@ -117,23 +118,23 @@ def _citation_key(report: ScoreReport):
     return (-report.citation_count, report.article_id)
 
 
-def assign_ranks(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
-    """Fill both rank columns; returns new reports in the input order."""
-    by_index = sorted(reports, key=_index_key)
+def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
+    """Reports ordered best-first by index, both rank columns filled in.
+
+    The only place ranks are computed: one sort per ranking.
+    """
     by_citations = sorted(reports, key=_citation_key)
-    index_rank = {r.article_id: i for i, r in enumerate(by_index, start=1)}
     citation_rank = {r.article_id: i for i, r in enumerate(by_citations, start=1)}
     return [
-        replace(r, rank_i3=index_rank[r.article_id],
-                rank_citations=citation_rank[r.article_id])
-        for r in reports
+        replace(r, rank_i3=i, rank_citations=citation_rank[r.article_id])
+        for i, r in enumerate(sorted(reports, key=_index_key), start=1)
     ]
 
 
-def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
-    """Reports ordered best-first by index, rank columns filled in."""
-    ranked = assign_ranks(reports)
-    return sorted(ranked, key=lambda r: r.rank_i3)
+def assign_ranks(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
+    """Fill both rank columns; returns new reports in the input order."""
+    ranked = {r.article_id: r for r in rank(reports)}
+    return [ranked[r.article_id] for r in reports]
 
 
 @dataclass(frozen=True)
@@ -180,17 +181,17 @@ class MatthewSummary:
     improved: int  # articles strictly better ranked by index than by counts
 
 
-def matthew_comparison(reports: Sequence[ScoreReport]) -> MatthewSummary:
+def matthew_comparison(ranked: Sequence[ScoreReport]) -> MatthewSummary:
     """Contrast index ranking with citation-count ranking.
 
+    ``ranked`` is the output of :func:`rank`; only its rank columns are
+    read, and displacements keep its best-first order.
     ``displacement`` is citation rank minus index rank per article (the
     displacements of a report always sum to zero); ``improved`` counts
     articles the index ranks strictly better than raw counts do.
     """
-    if len(reports) < 2:
+    if len(ranked) < 2:
         raise InputError("need at least 2 scored articles to compare rankings")
-    ranked = assign_ranks(reports)
-    ranked.sort(key=lambda r: r.rank_i3)
     displacements = [
         RankDisplacement(
             article_id=r.article_id,
@@ -200,25 +201,17 @@ def matthew_comparison(reports: Sequence[ScoreReport]) -> MatthewSummary:
         )
         for r in ranked
     ]
-    improved = sum(1 for d in displacements if d.rank_i3 < d.rank_citations)
+    improved = sum(1 for d in displacements if d.displacement > 0)
     return MatthewSummary(displacements, improved)
 
 
 def reports_to_csv(reports: Sequence[ScoreReport]) -> str:
-    lines = [",".join(REPORT_HEADER)]
-    for r in reports:
-        lines.append(",".join([
-            r.article_id,
-            r.category,
-            str(r.phi),
-            fmt_beta(r.beta),
-            fmt_score(r.f_score),
-            fmt_score(r.i3),
-            str(r.citation_count),
-            _fmt_rank(r.rank_i3),
-            _fmt_rank(r.rank_citations),
-        ]))
-    return "\n".join(lines) + "\n"
+    rows = (
+        (r.article_id, r.category, r.phi, fmt_beta(r.beta), fmt_score(r.f_score),
+         fmt_score(r.i3), r.citation_count, r.rank_i3, r.rank_citations)
+        for r in reports
+    )
+    return csv_text(chain([REPORT_HEADER], rows))
 
 
 def report_to_obj(r: ScoreReport) -> dict:
@@ -241,10 +234,10 @@ def reports_to_json(reports: Sequence[ScoreReport]) -> str:
 
 
 def percentile_table_to_csv(table: PercentileTable) -> str:
-    lines = ["category,percentile,i3"]
-    for percentile, value in table.thresholds:
-        lines.append(f"{table.category},{percentile},{fmt_score(value)}")
-    return "\n".join(lines) + "\n"
+    rows = [("category", "percentile", "i3")]
+    rows += [(table.category, percentile, fmt_score(value))
+             for percentile, value in table.thresholds]
+    return csv_text(rows)
 
 
 def matthew_to_obj(summary: MatthewSummary) -> dict:
@@ -263,12 +256,9 @@ def matthew_to_obj(summary: MatthewSummary) -> dict:
 
 
 def matthew_to_csv(summary: MatthewSummary) -> str:
-    lines = [f"improved_by_i3_rank,{summary.improved}"]
-    lines.append("article_id,rank_i3,rank_citations,displacement")
-    for d in summary.displacements:
-        lines.append(f"{d.article_id},{d.rank_i3},{d.rank_citations},{d.displacement}")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_rank(value: int | None) -> str:
-    return "" if value is None else str(value)
+    return csv_text(chain(
+        [("improved_by_i3_rank", summary.improved),
+         ("article_id", "rank_i3", "rank_citations", "displacement")],
+        ((d.article_id, d.rank_i3, d.rank_citations, d.displacement)
+         for d in summary.displacements),
+    ))

@@ -6,13 +6,15 @@ code plus captured stdout/stderr, exactly what a shell user sees.
 
 from __future__ import annotations
 
-import dataclasses
+import csv
+import io
 import json
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
-from i3metrics.cli import RunConfig, main
+from i3metrics.cli import main
 from i3metrics.core import compute_beta, compute_i3
 
 
@@ -90,7 +92,7 @@ def make_corpus(tmp_path, phi, ifs, articles_text, citation_rows):
 
 
 @pytest.fixture()
-def benchmark(tmp_path):
+def reference_corpus(tmp_path):
     """Category of 92 titles where a-1 accumulates f = 1996.5245.
 
     The index at that mass is 0.9000000002506496, six decimals away
@@ -108,6 +110,24 @@ def benchmark(tmp_path):
 
 
 @pytest.fixture()
+def quoted(tmp_path):
+    """Article id and category that hold commas, so output must quote them."""
+    return ["--catalog", write(tmp_path / "catalog.csv",
+                               "category,journal,issn,year,impact_factor\n"
+                               '"Biology, Marine",home,,2010,2.0\n'),
+            "--articles", write(tmp_path / "articles.csv",
+                                "article_id,journal,publication_date\n"
+                                '"a,1",home,2015-01-01\nb,home,2015-01-01\n'),
+            "--citations", write(tmp_path / "citations.csv",
+                                 "article_id,citing_journal,citation_date\n"
+                                 '"a,1",home,2016-01-01\n')]
+
+
+def parse_csv(out):
+    return list(csv.reader(io.StringIO(out, newline="")))
+
+
+@pytest.fixture()
 def uncited(tmp_path):
     """Category of 106 titles and one article with zero citations."""
     return make_corpus(
@@ -121,8 +141,8 @@ def uncited(tmp_path):
 # -- score -------------------------------------------------------------
 
 class TestScore:
-    def test_reference_point_prints_six_decimals(self, capsys, benchmark):
-        code, out, err = run(capsys, "score", *benchmark, "a-1")
+    def test_reference_point_prints_six_decimals(self, capsys, reference_corpus):
+        code, out, err = run(capsys, "score", *reference_corpus, "a-1")
         assert code == 0 and err == ""
         (row,) = csv_rows(out)
         assert row["article_id"] == "a-1"
@@ -133,8 +153,8 @@ class TestScore:
         assert row["citations"] == "998"
         assert row["rank_i3"] == "" and row["rank_citations"] == ""
 
-    def test_reference_point_json_keeps_full_precision(self, capsys, benchmark):
-        code, out, _ = run(capsys, "score", *benchmark, "a-1",
+    def test_reference_point_json_keeps_full_precision(self, capsys, reference_corpus):
+        code, out, _ = run(capsys, "score", *reference_corpus, "a-1",
                            "--format", "json")
         assert code == 0
         (obj,) = json.loads(out)
@@ -234,6 +254,24 @@ class TestScore:
         assert code == 1
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_fallback_rejected(self, capsys, data, value):
+        code, out, err = run(capsys, "score", *data, "a-1",
+                             "--fallback-if", value)
+        assert code == 1 and out == ""
+        assert "finite" in err
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, data):
+        code, plain, _ = run(capsys, "score", *data, "--all")
+        assert code == 0
+        with_bom = []
+        for flag, path in zip(data[::2], data[1::2]):
+            text = "\ufeff" + Path(path).read_text(encoding="utf-8")
+            with_bom += [flag, write(tmp_path / f"bom-{Path(path).name}", text)]
+        code, out, err = run(capsys, "score", *with_bom, "--all")
+        assert code == 0 and err == ""
+        assert out == plain
+
     def test_bad_if_mode_value(self, capsys, data):
         code, _, err = run(capsys, "score", *data, "a-1",
                            "--if-mode", "newest")
@@ -300,6 +338,14 @@ class TestRank:
         rows = {r["article_id"]: r for r in csv_rows(out)}
         assert rows["a-2"]["citations"] == "0"
 
+    def test_fields_with_commas_are_quoted(self, capsys, quoted):
+        code, out, _ = run(capsys, "rank", *quoted, "--matthew")
+        assert code == 0
+        rows = parse_csv(out)
+        assert rows[1][:2] == ["a,1", "Biology, Marine"]
+        assert all(len(row) == 9 for row in rows[:3])
+        assert ["a,1", "1", "1", "0"] in rows
+
 
 # -- dynamics ----------------------------------------------------------
 
@@ -318,9 +364,9 @@ class TestDynamics:
         assert [p["t"] for p in obj["series"]] == [1, 2]
         assert obj["series"][-1]["cr_integral"] <= 1.0
 
-    def test_trajectory_is_monotone(self, capsys, benchmark):
+    def test_trajectory_is_monotone(self, capsys, reference_corpus):
         # Single-year impact factors, so the trajectory must close at 1.
-        code, out, _ = run(capsys, "dynamics", *benchmark, "a-1",
+        code, out, _ = run(capsys, "dynamics", *reference_corpus, "a-1",
                            "--years", "1,2,3,20")
         assert code == 0
         series = [float(r["i3_t"]) for r in csv_rows(out)]
@@ -392,6 +438,12 @@ class TestCalibrate:
         code, _, err = run(capsys, "calibrate", "--target", "1.0",
                            "--fscore", "2000")
         assert code == 1
+
+    def test_rejects_non_finite_fscore(self, capsys):
+        code, out, err = run(capsys, "calibrate", "--target", "0.9",
+                             "--fscore", "inf")
+        assert code == 1 and out == ""
+        assert "citation mass" in err
 
 
 # -- curves ------------------------------------------------------------
@@ -501,6 +553,12 @@ class TestCatalogStats:
         assert obj["categories"][0]["phi"] == 3
         assert obj["mean_if"] == 1.5
 
+    def test_category_with_comma_is_quoted(self, capsys, quoted):
+        code, out, _ = run(capsys, "catalog-stats", "--catalog", quoted[1])
+        assert code == 0
+        assert parse_csv(out)[1] == ["Biology, Marine", "1", f"{compute_beta(1):.9g}",
+                                     "2.000000"]
+
     def test_missing_catalog(self, capsys, tmp_path):
         code, _, err = run(capsys, "catalog-stats",
                            "--catalog", str(tmp_path / "nope.csv"))
@@ -533,16 +591,3 @@ class TestParsing:
         out, _ = capsys.readouterr()
         assert "score" in out and "calibrate" in out
 
-
-class TestRunConfig:
-    def test_defaults(self):
-        config = RunConfig()
-        assert config.output_format == "csv"
-        assert config.if_mode == "current"
-        assert config.fallback_if is None
-        assert config.seed is None
-
-    def test_frozen(self):
-        config = RunConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            config.if_mode = "historical"

@@ -131,6 +131,11 @@ class TestSolveBeta:
         with pytest.raises(ValueError, match="citation mass"):
             solve_beta(0.5, 0.0)
 
+    def test_rejects_non_finite_mass(self):
+        for f in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="citation mass"):
+                solve_beta(0.9, f)
+
 
 class TestDerivative:
     def test_at_origin_equals_beta(self):

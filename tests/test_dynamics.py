@@ -128,6 +128,11 @@ class TestDynamicsReport:
         with pytest.raises(InputError, match="ascending"):
             dynamics_report(ledger, catalog, "a", [5, 1])
 
+    def test_rejects_boolean_years(self):
+        catalog, ledger = build(2, ["a,home,2015-06-15\n"], [])
+        with pytest.raises(InputError, match="positive integers"):
+            dynamics_report(ledger, catalog, "a", [True])
+
 
 class TestCompareAuc:
     def test_identical_inputs_are_equal(self):

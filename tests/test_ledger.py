@@ -170,6 +170,11 @@ c,small,,2020,1.5
         with pytest.raises(ValueError, match="whole number of years"):
             f_score(ledger, catalog, "art-1", as_of=-1)
 
+    def test_rejects_boolean_as_of(self):
+        catalog, ledger = load()
+        with pytest.raises(ValueError, match="whole number of years"):
+            f_score(ledger, catalog, "art-1", as_of=True)
+
 
 class TestTruncation:
     def test_year_zero_keeps_only_same_day_citations(self):

@@ -1,5 +1,6 @@
 """Tests for ranking, percentile tables, and ranking-divergence reports."""
 
+import csv
 import io
 import json
 import random
@@ -224,7 +225,7 @@ class TestMatthewComparison:
         # f affine in the citation count: both rankings coincide.
         reports = [report(f"a-{k}", 2.0 + 2.0 * k, citations=k)
                    for k in range(10)]
-        summary = matthew_comparison(reports)
+        summary = matthew_comparison(rank(reports))
         assert summary.improved == 0
         assert all(d.displacement == 0 for d in summary.displacements)
 
@@ -232,7 +233,7 @@ class TestMatthewComparison:
         # 3 citations from IF-10 journals against 30 from IF-0.1 ones.
         selective = report("selective", 2.0 + 3 * 10.0, citations=3)
         prolific = report("prolific", 2.0 + 30 * 0.1, citations=30)
-        summary = matthew_comparison([prolific, selective])
+        summary = matthew_comparison(rank([prolific, selective]))
         by_id = {d.article_id: d for d in summary.displacements}
         assert by_id["selective"].rank_i3 == 1
         assert by_id["selective"].rank_citations == 2
@@ -245,7 +246,7 @@ class TestMatthewComparison:
         reports = [report(f"a-{k:03d}", rng.uniform(0.0, 5000.0),
                           citations=rng.randrange(200))
                    for k in range(30)]
-        summary = matthew_comparison(reports)
+        summary = matthew_comparison(rank(reports))
         assert [d.rank_i3 for d in summary.displacements] == list(range(1, 31))
 
     @given(st.lists(
@@ -255,7 +256,7 @@ class TestMatthewComparison:
     def test_displacements_sum_to_zero(self, rows):
         reports = [report(f"a-{k:03d}", f, citations=count)
                    for k, (f, count) in enumerate(rows)]
-        summary = matthew_comparison(reports)
+        summary = matthew_comparison(rank(reports))
         assert sum(d.displacement for d in summary.displacements) == 0
 
     def test_needs_two_articles(self):
@@ -293,8 +294,26 @@ class TestSerialization:
     def test_matthew_csv(self):
         reports = [report("a", 32.0, citations=3),
                    report("b", 5.0, citations=30)]
-        lines = matthew_to_csv(matthew_comparison(reports)).splitlines()
+        lines = matthew_to_csv(matthew_comparison(rank(reports))).splitlines()
         assert lines[0] == "improved_by_i3_rank,1"
         assert lines[1] == "article_id,rank_i3,rank_citations,displacement"
         assert lines[2] == "a,1,2,1"
         assert lines[3] == "b,2,1,-1"
+
+    @given(st.lists(st.tuples(st.text(), st.text(), st.integers(min_value=0, max_value=50)),
+                    min_size=2, max_size=8, unique_by=lambda row: row[0]))
+    def test_csv_fields_round_trip(self, rows):
+        ranked = rank([report(article_id, 10.0, category=category, citations=n)
+                       for article_id, category, n in rows])
+        if any("\r" in article_id + category for article_id, category, _ in rows):
+            with pytest.raises(ValueError, match="carriage return"):
+                reports_to_csv(ranked)
+            return
+        table = list(csv.reader(io.StringIO(reports_to_csv(ranked), newline="")))
+        assert table[0] == REPORT_HEADER
+        assert [row[:2] for row in table[1:]] == [[r.article_id, r.category] for r in ranked]
+        assert all(len(row) == len(REPORT_HEADER) for row in table)
+        summary = matthew_to_csv(matthew_comparison(ranked))
+        table = list(csv.reader(io.StringIO(summary, newline="")))
+        assert table[2:] == [[r.article_id, str(r.rank_i3), str(r.rank_citations),
+                              str(r.rank_citations - r.rank_i3)] for r in ranked]
