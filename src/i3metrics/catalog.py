@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable
 
 from .core import compute_beta
@@ -53,19 +55,23 @@ class JournalRecord:
     issn: str | None
     if_history: dict[int, float] = field(default_factory=dict)
 
+    @cached_property
+    def _years(self) -> list[int]:
+        # Sorted on first use; the history does not change after load.
+        return sorted(self.if_history)
+
     def latest_if(self) -> float:
-        return self.if_history[max(self.if_history)]
+        return self.if_history[self._years[-1]]
 
     def if_at(self, year: int) -> float:
         """Impact factor for ``year``, carrying the last known value forward."""
-        known = [y for y in self.if_history if y <= year]
+        known = bisect_right(self._years, year)
         if not known:
-            earliest = min(self.if_history)
             raise ResolutionError(
                 f"journal '{self.name}' has no impact factor on or before "
-                f"{year} (history starts {earliest})"
+                f"{year} (history starts {self._years[0]})"
             )
-        return self.if_history[max(known)]
+        return self.if_history[self._years[known - 1]]
 
 
 @dataclass
@@ -115,7 +121,7 @@ def load_catalog(stream: IO[str], source: str = "catalog") -> Catalog:
 
     journals: dict[str, JournalRecord] = {}
     for lineno, row in _data_rows(reader, len(CATALOG_HEADER), source):
-        category, name, issn_raw, year_raw, if_raw = (cell.strip() for cell in row)
+        category, name, issn_raw, year_raw, if_raw = (_field(cell, source, lineno) for cell in row)
         if not category:
             raise InputError(f"{source} line {lineno}: empty category")
         if not name:
@@ -229,6 +235,18 @@ def _data_rows(reader, width: int, source: str):
                 f"{source} line {lineno}: expected {width} fields, got {len(row)}"
             )
         yield lineno, row
+
+
+def _field(raw: str, source: str, lineno: int) -> str:
+    """A cell trimmed of surrounding whitespace.
+
+    A carriage return anywhere in it is refused here, where the line
+    number is known: the CSV output could not print it back (the
+    standard writer leaves it unquoted, which splits the row).
+    """
+    if "\r" in raw:
+        raise InputError(f"{source} line {lineno}: field {raw!r} contains a carriage return")
+    return raw.strip()
 
 
 def _parse_year(raw: str, source: str, lineno: int) -> int:

@@ -1,6 +1,6 @@
 """Per-article citation histories and the composite citation mass f.
 
-Two UTF-8 CSV inputs with ISO-8601 dates:
+Two UTF-8 CSV inputs with dates written ``YYYY-MM-DD``:
 
 * articles:  ``article_id,journal,publication_date``
 * citations: ``article_id,citing_journal,citation_date``
@@ -23,10 +23,15 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import re
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO
 
-from .catalog import Catalog, _data_rows, _expect_header, canonical_name
+from .catalog import Catalog, _data_rows, _expect_header, _field, canonical_name
 from .errors import InputError, ResolutionError
 
 __all__ = [
@@ -45,8 +50,16 @@ CITATIONS_HEADER = ["article_id", "citing_journal", "citation_date"]
 
 IF_MODES = ("historical", "current")
 
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
-@dataclass(frozen=True)
+# A group key packs the rank of the canonical citing name with the
+# citation year; years have four digits, so they stay below this.
+_YEAR_SPAN = 10000
+# Date ordinals stay below this.
+_DAY_SPAN = dt.date.max.toordinal() + 1
+
+
+@dataclass(frozen=True, slots=True)
 class ArticleRecord:
     id: str
     journal: str
@@ -63,10 +76,27 @@ class CitationEvent:
 
 @dataclass
 class Ledger:
-    """Validated article and citation collections, immutable after load."""
+    """Validated articles and their citations, immutable after load.
+
+    The citations are stored once, as parallel columns shared by all
+    articles: those of the article at position ``i`` in ``articles``
+    are the rows ``offsets[i]:offsets[i + 1]``, sorted by date, then
+    canonical citing name, file order kept on ties.  Per row, ``days``
+    holds the date ordinal, ``spelled`` the index of the citing
+    journal's display spelling in ``spellings``, and ``groups`` the
+    rank of its canonical name in ``names`` times ``_YEAR_SPAN`` plus
+    the citation year, so that sorted keys run journal first, then
+    year.  :class:`CitationEvent` objects are built only on request.
+    """
 
     articles: dict[str, ArticleRecord]
-    citations: dict[str, list[CitationEvent]]
+    positions: dict[str, int]
+    offsets: array
+    days: array
+    spelled: array
+    groups: array
+    spellings: list[str]
+    names: list[str]
 
     def article(self, article_id: str) -> ArticleRecord:
         try:
@@ -75,7 +105,19 @@ class Ledger:
             raise InputError(f"unknown article id: {article_id!r}") from None
 
     def events(self, article_id: str) -> list[CitationEvent]:
-        return self.citations.get(article_id, [])
+        """Citations of one article, built on each call (not a hot path)."""
+        i = self.positions.get(article_id)
+        if i is None:
+            return []
+        rows = range(self.offsets[i], self.offsets[i + 1])
+        return [CitationEvent(self.spellings[self.spelled[r]], dt.date.fromordinal(self.days[r]))
+                for r in rows]
+
+    @property
+    def citations(self) -> dict[str, list[CitationEvent]]:
+        """Citations of every cited article, built on each access (not a hot path)."""
+        return {a: self.events(a) for a, i in self.positions.items()
+                if self.offsets[i] < self.offsets[i + 1]}
 
 
 def load_ledger(
@@ -89,13 +131,16 @@ def load_ledger(
     Rejected with the offending line number: duplicate article ids,
     citations of unknown articles, and citations dated before the
     cited article was published.  Citations come out sorted by date
-    (then citing journal) per article.
+    (then citing journal) per article.  Each distinct date cell is
+    parsed, and each distinct citing spelling joined, only once.
     """
     articles: dict[str, ArticleRecord] = {}
+    journals: dict[str, str] = {}
+    dates: dict[str, dt.date] = {}
     reader = csv.reader(articles_stream)
     _expect_header(reader, ARTICLES_HEADER, articles_source)
     for lineno, row in _data_rows(reader, 3, articles_source):
-        article_id, journal, date_raw = (cell.strip() for cell in row)
+        article_id, journal, date_raw = (_field(cell, articles_source, lineno) for cell in row)
         if not article_id:
             raise InputError(f"{articles_source} line {lineno}: empty article id")
         if not journal:
@@ -104,36 +149,69 @@ def load_ledger(
             raise InputError(
                 f"{articles_source} line {lineno}: duplicate article id {article_id!r}"
             )
-        published = _parse_date(date_raw, articles_source, lineno)
+        published = dates.get(date_raw)
+        if published is None:
+            published = dates[date_raw] = _parse_date(date_raw, articles_source, lineno)
+        journal = journals.setdefault(journal, journal)  # one string per spelling
         articles[article_id] = ArticleRecord(article_id, journal, published)
 
-    citations: dict[str, list[CitationEvent]] = {}
+    ids = list(articles)
+    positions = {article_id: i for i, article_id in enumerate(ids)}
+    publication_days = [article.publication_date.toordinal() for article in articles.values()]
+    # Keyed by the raw cell, so the common case costs one dict lookup per
+    # cell; a spelling's trimmed form maps to the same id as its raw form.
+    spelling_ids: dict[str, int] = {}
+    spellings: list[str] = []
+    ordinals: dict[str, int] = {}
+    row_article, row_day, row_spelling = [], [], []  # per row, in file order
     reader = csv.reader(citations_stream)
     _expect_header(reader, CITATIONS_HEADER, citations_source)
-    for lineno, row in _data_rows(reader, 3, citations_source):
-        article_id, citing_journal, date_raw = (cell.strip() for cell in row)
-        article = articles.get(article_id)
-        if article is None:
+    for lineno, (id_raw, journal_raw, date_raw) in _data_rows(reader, 3, citations_source):
+        i = positions.get(id_raw)
+        if i is None:
+            article_id = _field(id_raw, citations_source, lineno)
+            i = positions.get(article_id)
+            if i is None:
+                raise InputError(
+                    f"{citations_source} line {lineno}: citation of unknown "
+                    f"article {article_id!r}"
+                )
+        s = spelling_ids.get(journal_raw)
+        if s is None:
+            s = spelling_ids[journal_raw] = _intern_spelling(
+                journal_raw, spelling_ids, spellings, citations_source, lineno)
+        cited = ordinals.get(date_raw)
+        if cited is None:
+            cited = ordinals[date_raw] = _parse_date(
+                _field(date_raw, citations_source, lineno), citations_source, lineno
+            ).toordinal()
+        if cited < publication_days[i]:
             raise InputError(
-                f"{citations_source} line {lineno}: citation of unknown "
-                f"article {article_id!r}"
+                f"{citations_source} line {lineno}: citation dated "
+                f"{dt.date.fromordinal(cited)} precedes publication of {ids[i]!r} "
+                f"({articles[ids[i]].publication_date})"
             )
-        if not citing_journal:
-            raise InputError(f"{citations_source} line {lineno}: empty citing journal")
-        cited = _parse_date(date_raw, citations_source, lineno)
-        if cited < article.publication_date:
-            raise InputError(
-                f"{citations_source} line {lineno}: citation dated {cited} "
-                f"precedes publication of {article_id!r} "
-                f"({article.publication_date})"
-            )
-        citations.setdefault(article_id, []).append(
-            CitationEvent(citing_journal, cited)
-        )
+        row_article.append(i)
+        row_day.append(cited)
+        row_spelling.append(s)
 
-    for events in citations.values():
-        events.sort(key=lambda e: (e.date, canonical_name(e.citing_journal)))
-    return Ledger(articles, citations)
+    canonical = [canonical_name(spelling) for spelling in spellings]
+    names = sorted(set(canonical))
+    name_rank = {name: rank for rank, name in enumerate(names)}
+    spelling_rank = [name_rank[name] for name in canonical]
+    # One stable sort of all rows by (article, date, canonical name).
+    n_names = len(names)
+    order = sorted(range(len(row_article)), key=[
+        (i * _DAY_SPAN + d) * n_names + spelling_rank[s]
+        for i, d, s in zip(row_article, row_day, row_spelling)
+    ].__getitem__)
+    days = array("i", [row_day[r] for r in order])
+    spelled = array("i", [row_spelling[r] for r in order])
+    years = {d: dt.date.fromordinal(d).year for d in set(ordinals.values())}
+    groups = array("q", [spelling_rank[s] * _YEAR_SPAN + years[d] for s, d in zip(spelled, days)])
+    per_article = Counter(row_article)
+    offsets = array("q", accumulate((per_article[i] for i in range(len(ids))), initial=0))
+    return Ledger(articles, positions, offsets, days, spelled, groups, spellings, names)
 
 
 def shift_years(day: dt.date, years: int) -> dt.date:
@@ -171,50 +249,54 @@ def f_score(
     """
     if if_mode not in IF_MODES:
         raise ValueError(f"if_mode must be one of {IF_MODES}, got {if_mode!r}")
-    article, events = _events_as_of(ledger, article_id, as_of)
-
+    historical = if_mode == "historical"
+    article, start, stop = _window(ledger, article_id, as_of)
     try:
-        if if_mode == "historical":
+        if historical:
             psi_a = catalog.impact_factor(article.journal, article.publication_date.year)
         else:
             psi_a = catalog.impact_factor(article.journal)
     except ResolutionError as exc:
         raise ResolutionError(f"article {article_id!r}: {exc}") from None
+    if start == stop:
+        return psi_a
 
-    # Group events by citing journal (and year, when IFs are historical);
-    # each group contributes count * impact factor.
-    groups: dict[tuple[str, int | None], int] = {}
-    display: dict[str, str] = {}
-    for event in events:
-        key = canonical_name(event.citing_journal)
-        display.setdefault(key, event.citing_journal)
-        year = event.date.year if if_mode == "historical" else None
-        groups[key, year] = groups.get((key, year), 0) + 1
-
-    unknown = sorted({name for name, _ in groups if name not in catalog.journals})
-    if unknown and fallback_if is None:
-        raise ResolutionError(
-            f"article {article_id!r}: citing journals not in catalog: "
-            + ", ".join(display[name] for name in unknown)
-        )
+    # Each group (citing journal, and year when IFs are historical)
+    # contributes count * impact factor, summed in key order: journal
+    # first, then year.  With current IFs a key is the name rank alone.
+    rows = ledger.groups[start:stop]
+    span = _YEAR_SPAN if historical else 1
+    groups = Counter(rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows))
+    journals, names = catalog.journals, ledger.names
+    if fallback_if is None:
+        unknown = sorted({key // span for key in groups if names[key // span] not in journals})
+        if unknown:
+            raise ResolutionError(
+                f"article {article_id!r}: citing journals not in catalog: "
+                + ", ".join(_display(ledger, start, stop, unknown))
+            )
 
     total = psi_a
-    for (name, year), count in sorted(groups.items(), key=_group_order):
-        if name in catalog.journals:
-            record = catalog.journals[name]
+    for key in sorted(groups):
+        rank, year = divmod(key, span)
+        record = journals.get(names[rank])
+        if record is None:
+            factor = fallback_if
+        elif historical:
             try:
-                factor = record.latest_if() if year is None else record.if_at(year)
+                factor = record.if_at(year)
             except ResolutionError as exc:
                 raise ResolutionError(f"article {article_id!r}: {exc}") from None
         else:
-            factor = fallback_if
-        total += count * factor
+            factor = record.latest_if()
+        total += groups[key] * factor
     return total
 
 
 def citation_count(ledger: Ledger, article_id: str, as_of: int | None = None) -> int:
     """Number of citation events, optionally truncated like :func:`f_score`."""
-    return len(_events_as_of(ledger, article_id, as_of)[1])
+    _, start, stop = _window(ledger, article_id, as_of)
+    return stop - start
 
 
 def validate_truncation(
@@ -230,29 +312,49 @@ def validate_truncation(
     return truncated <= full
 
 
-def _group_order(item: tuple[tuple[str, int | None], int]):
-    (name, year), _ = item
-    return (name, year if year is not None else 0)
-
-
-def _events_as_of(
+def _window(
     ledger: Ledger, article_id: str, as_of: int | None
-) -> tuple[ArticleRecord, list[CitationEvent]]:
-    """The article and its citations up to ``as_of`` years after publication (all if None)."""
+) -> tuple[ArticleRecord, int, int]:
+    """The article and the rows of its citations up to ``as_of`` years after publication."""
     if as_of is not None and (
         isinstance(as_of, bool) or not isinstance(as_of, int) or as_of < 0
     ):
         raise ValueError(f"as_of must be a whole number of years >= 0, got {as_of!r}")
     article = ledger.article(article_id)
-    events = ledger.events(article_id)
+    i = ledger.positions[article_id]
+    start, stop = ledger.offsets[i], ledger.offsets[i + 1]
     if as_of is not None:
-        cutoff = shift_years(article.publication_date, as_of)
-        events = [e for e in events if e.date <= cutoff]
-    return article, events
+        cutoff = shift_years(article.publication_date, as_of).toordinal()
+        stop = bisect_right(ledger.days, cutoff, start, stop)
+    return article, start, stop
+
+
+def _display(ledger: Ledger, start: int, stop: int, ranks: list[int]) -> list[str]:
+    """Display spelling of each name rank: the first one in rows ``start:stop``."""
+    first: dict[int, str] = {}
+    for s, key in zip(ledger.spelled[start:stop], ledger.groups[start:stop]):
+        first.setdefault(key // _YEAR_SPAN, ledger.spellings[s])
+    return [first[rank] for rank in ranks]
+
+
+def _intern_spelling(raw: str, ids: dict[str, int], spellings: list[str],
+                     source: str, lineno: int) -> int:
+    """Id of the trimmed display spelling of a citing-journal cell."""
+    name = _field(raw, source, lineno)
+    if not name:
+        raise InputError(f"{source} line {lineno}: empty citing journal")
+    s = ids.get(name)
+    if s is None:
+        s = ids[name] = len(spellings)
+        spellings.append(name)
+    return s
 
 
 def _parse_date(raw: str, source: str, lineno: int) -> dt.date:
+    """A date written exactly ``YYYY-MM-DD``."""
     try:
+        if not _DATE_RE.fullmatch(raw):
+            raise ValueError
         return dt.date.fromisoformat(raw)
     except ValueError:
         raise InputError(

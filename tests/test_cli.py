@@ -272,6 +272,19 @@ class TestScore:
         assert code == 0 and err == ""
         assert out == plain
 
+    @pytest.mark.parametrize("flag, good, bad", [
+        ("--articles", "2011-05-01", "20110501"),
+        ("--articles", "2011-05-01", "2011-W18-1"),
+        ("--citations", "2012-01-01", "20120101"),
+        ("--citations", "2012-01-01", "2012-W01-1"),
+    ])
+    def test_dates_must_be_year_month_day(self, capsys, data, flag, good, bad):
+        path = Path(data[data.index(flag) + 1])
+        path.write_text(path.read_text(encoding="utf-8").replace(good, bad), encoding="utf-8")
+        code, out, err = run(capsys, "score", *data, "--all")
+        assert code == 1 and out == ""
+        assert f"malformed date {bad!r} (expected YYYY-MM-DD)" in err
+
     def test_bad_if_mode_value(self, capsys, data):
         code, _, err = run(capsys, "score", *data, "a-1",
                            "--if-mode", "newest")
@@ -337,6 +350,19 @@ class TestRank:
         assert code == 0
         rows = {r["article_id"]: r for r in csv_rows(out)}
         assert rows["a-2"]["citations"] == "0"
+
+    @pytest.mark.parametrize("flag, row, line", [
+        ("--catalog", 'bio,"Delta\rReview",,2010,1.0', 6),
+        ("--articles", '"a\rb",Alpha Letters,2011-05-01', 4),
+        ("--citations", 'a-1,"Beta\rAnnals",2012-01-01', 5),
+    ])
+    def test_carriage_return_in_a_field_is_refused(self, capsys, data, flag, row, line):
+        path = Path(data[data.index(flag) + 1])
+        with open(path, "a", encoding="utf-8", newline="") as handle:
+            handle.write(row + "\n")
+        code, out, err = run(capsys, "rank", *data)
+        assert code == 1 and out == ""
+        assert f"{path} line {line}: " in err and "carriage return" in err
 
     def test_fields_with_commas_are_quoted(self, capsys, quoted):
         code, out, _ = run(capsys, "rank", *quoted, "--matthew")
