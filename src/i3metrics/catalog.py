@@ -226,8 +226,14 @@ def _expect_header(reader: Iterable[list[str]], expected: list[str], source: str
 
 
 def _data_rows(reader, width: int, source: str):
-    """Yield (lineno, row) pairs, skipping blank lines, checking arity."""
-    for lineno, row in enumerate(reader, start=2):
+    """Yield (lineno, row) pairs, skipping blank lines, checking arity.
+
+    ``lineno`` is the physical line a record starts on, counted by the
+    reader, so it stays right after a quoted cell that spans lines.
+    """
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != width:

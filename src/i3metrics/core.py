@@ -50,7 +50,12 @@ def compute_beta(phi: int) -> float:
         raise ValueError(f"phi must be an integer, got {phi!r}") from None
     if phi < 1:
         raise ValueError(f"phi must be >= 1, got {phi}")
-    return LAMBDA / phi
+    try:
+        return LAMBDA / phi
+    except OverflowError:
+        raise ValueError(
+            f"phi must be representable as a double, got an integer of "
+            f"{phi.bit_length()} bits") from None
 
 
 def compute_i3(f: float, beta: float) -> float:
@@ -73,13 +78,18 @@ def solve_beta(target_i3: float, f: float) -> float:
     Inverts the index: returns ``-ln(1 - target_i3) / f``, so
     ``compute_i3(f, solve_beta(p, f))`` recovers ``p``.  Useful for
     calibrating beta against an empirical percentile anchor instead of
-    a category title count.
+    a category title count.  A pair whose rate overflows a double or
+    underflows to 0 is refused, like any other invalid beta.
     """
     if not 0.0 < target_i3 < 1.0:
         raise ValueError(f"target index must lie in (0, 1), got {target_i3!r}")
     if not 0.0 < f < math.inf:
         raise ValueError(f"citation mass must be finite and > 0, got {f!r}")
-    return -math.log1p(-target_i3) / f
+    beta = -math.log1p(-target_i3) / f
+    if not 0.0 < beta < math.inf:
+        raise ValueError(
+            f"no finite positive beta maps citation mass {f!r} to {target_i3!r}")
+    return beta
 
 
 def i3_derivative(f: float, beta: float) -> float:
@@ -151,5 +161,5 @@ def _check_f(f: float, name: str = "f") -> None:
 
 
 def _check_beta(beta: float) -> None:
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta!r}")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be > 0 and finite, got {beta!r}")

@@ -12,7 +12,9 @@ ones.  When impact factors decline over time this can push a ratio
 above 1; such values are reported as-is and flagged, never clamped.
 Articles whose full-history index is 0 have no distribution to take a
 fraction of, so their ratio columns are explicitly undefined (``None``
-in reports, ``NA`` in CSV) rather than 0/0.
+in reports, ``NA`` in CSV) rather than 0/0.  Likewise the integral
+ratio is undefined when the full-history area underflows to 0.0,
+which a tiny but positive index (impact factors near 1e-200) allows.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def dynamics_report(
             # helpers: the historical numerator may legitimately
             # exceed the present-day denominator (see module docstring).
             ratio_simple = i3_t / i3_full
-            ratio_integral = i3_auc(f_t, beta) / auc_full
+            ratio_integral = i3_auc(f_t, beta) / auc_full if auc_full else None
         series.append(DynamicsPoint(t, f_t, i3_t, ratio_simple, ratio_integral))
 
     return DynamicsReport(
@@ -136,16 +138,26 @@ def compare_auc(a: tuple[float, float], b: tuple[float, float]) -> AucComparison
     The area keeps separating articles whose scores have both pushed
     against the asymptote, so it serves as the near-saturation
     tie-break.  ``difference`` is ``auc_a - auc_b``.
+
+    With equal betas, ``greater`` is decided on the masses: the exact
+    area is strictly increasing in the mass, but the computed one can
+    fall by an ulp when the mass rises by one.  ``difference`` never
+    has the opposite sign to ``greater``; where the rounded areas
+    disagree with the masses it is 0.0.
     """
     auc_a = i3_auc(a[0], a[1])
     auc_b = i3_auc(b[0], b[1])
-    if auc_a > auc_b:
+    difference = auc_a - auc_b
+    x, y = (a[0], b[0]) if a[1] == b[1] else (auc_a, auc_b)
+    if x > y:
         greater = "a"
-    elif auc_b > auc_a:
+    elif y > x:
         greater = "b"
     else:
         greater = "equal"
-    return AucComparison(auc_a, auc_b, auc_a - auc_b, greater)
+    if (greater == "a" and difference < 0.0) or (greater == "b" and difference > 0.0):
+        difference = 0.0
+    return AucComparison(auc_a, auc_b, difference, greater)
 
 
 def curve_points(beta: float, f_max: float, n: int) -> list[tuple[float, float]]:

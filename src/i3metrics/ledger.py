@@ -324,6 +324,10 @@ def _window(
     i = ledger.positions[article_id]
     start, stop = ledger.offsets[i], ledger.offsets[i + 1]
     if as_of is not None:
+        if article.publication_date.year + as_of > dt.MAXYEAR:
+            raise ValueError(
+                f"as_of {as_of} ends the citation window of article {article_id!r} "
+                f"(published {article.publication_date}) after year {dt.MAXYEAR}")
         cutoff = shift_years(article.publication_date, as_of).toordinal()
         stop = bisect_right(ledger.days, cutoff, start, stop)
     return article, start, stop

@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Sequence
 
 from .catalog import Catalog
-from .core import compute_i3, i3_auc
+from .core import compute_beta, compute_i3, i3_auc
 from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score
 from .ledger import Ledger, citation_count, f_score
@@ -50,12 +50,14 @@ REPORT_HEADER = [
     "i3", "citations", "rank_i3", "rank_citations",
 ]
 
+MATTHEW_HEADER = ["article_id", "rank_i3", "rank_citations", "displacement"]
+
 PERCENTILE_LEVELS = (50, 75, 90, 95, 99)
 
 MIN_PERCENTILE_SAMPLE = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreReport:
     """Scored article, plus rank fields filled in by :func:`rank`."""
 
@@ -89,7 +91,7 @@ def score_articles(
         article = ledger.article(article_id)
         record = catalog.journal(article.journal)
         phi = catalog.phi(record.category)
-        beta = catalog.beta_for(record.category)
+        beta = compute_beta(phi)
         mass = f_score(ledger, catalog, article_id, as_of=as_of,
                        if_mode=if_mode, fallback_if=fallback_if)
         reports.append(ScoreReport(
@@ -177,8 +179,13 @@ class RankDisplacement:
 
 @dataclass(frozen=True)
 class MatthewSummary:
-    displacements: list[RankDisplacement]
+    ranked: Sequence[ScoreReport]  # the output of rank(), best first
     improved: int  # articles strictly better ranked by index than by counts
+
+    @property
+    def displacements(self) -> list[RankDisplacement]:
+        """One displacement per ranked article, built on each access."""
+        return [RankDisplacement(*row) for row in _matthew_rows(self.ranked)]
 
 
 def matthew_comparison(ranked: Sequence[ScoreReport]) -> MatthewSummary:
@@ -192,17 +199,14 @@ def matthew_comparison(ranked: Sequence[ScoreReport]) -> MatthewSummary:
     """
     if len(ranked) < 2:
         raise InputError("need at least 2 scored articles to compare rankings")
-    displacements = [
-        RankDisplacement(
-            article_id=r.article_id,
-            rank_i3=r.rank_i3,
-            rank_citations=r.rank_citations,
-            displacement=r.rank_citations - r.rank_i3,
-        )
-        for r in ranked
-    ]
-    improved = sum(1 for d in displacements if d.displacement > 0)
-    return MatthewSummary(displacements, improved)
+    improved = sum(1 for r in ranked if r.rank_citations > r.rank_i3)
+    return MatthewSummary(ranked, improved)
+
+
+def _matthew_rows(ranked: Sequence[ScoreReport]):
+    """One row per article, in ``MATTHEW_HEADER`` order."""
+    for r in ranked:
+        yield r.article_id, r.rank_i3, r.rank_citations, r.rank_citations - r.rank_i3
 
 
 def reports_to_csv(reports: Sequence[ScoreReport]) -> str:
@@ -216,17 +220,10 @@ def reports_to_csv(reports: Sequence[ScoreReport]) -> str:
 
 def report_to_obj(r: ScoreReport) -> dict:
     """JSON-ready mapping for one report, keeping full float precision."""
-    return {
-        "article_id": r.article_id,
-        "category": r.category,
-        "phi": r.phi,
-        "beta": r.beta,
-        "f_score": r.f_score,
-        "i3": r.i3,
-        "citations": r.citation_count,
-        "rank_i3": r.rank_i3,
-        "rank_citations": r.rank_citations,
-    }
+    return dict(zip(REPORT_HEADER, (
+        r.article_id, r.category, r.phi, r.beta, r.f_score,
+        r.i3, r.citation_count, r.rank_i3, r.rank_citations,
+    )))
 
 
 def reports_to_json(reports: Sequence[ScoreReport]) -> str:
@@ -243,22 +240,13 @@ def percentile_table_to_csv(table: PercentileTable) -> str:
 def matthew_to_obj(summary: MatthewSummary) -> dict:
     return {
         "improved_by_i3_rank": summary.improved,
-        "displacements": [
-            {
-                "article_id": d.article_id,
-                "rank_i3": d.rank_i3,
-                "rank_citations": d.rank_citations,
-                "displacement": d.displacement,
-            }
-            for d in summary.displacements
-        ],
+        "displacements": [dict(zip(MATTHEW_HEADER, row))
+                          for row in _matthew_rows(summary.ranked)],
     }
 
 
 def matthew_to_csv(summary: MatthewSummary) -> str:
     return csv_text(chain(
-        [("improved_by_i3_rank", summary.improved),
-         ("article_id", "rank_i3", "rank_citations", "displacement")],
-        ((d.article_id, d.rank_i3, d.rank_citations, d.displacement)
-         for d in summary.displacements),
+        [("improved_by_i3_rank", summary.improved), MATTHEW_HEADER],
+        _matthew_rows(summary.ranked),
     ))

@@ -419,6 +419,27 @@ class TestDynamics:
         assert code == 1
         assert "unknown article id" in err
 
+    def test_integral_ratio_undefined_when_area_underflows(self, capsys, tmp_path):
+        # i3 = 1.06e-201 is positive, but the area under the curve
+        # underflows to 0.0, so only the simple ratio is defined.
+        corpus = ["--catalog", write(tmp_path / "catalog.csv",
+                                     "category,journal,issn,year,impact_factor\n"
+                                     "c,J,,2010,1e-200\n"),
+                  "--articles", write(tmp_path / "articles.csv",
+                                      "article_id,journal,publication_date\n"
+                                      "a,J,2011-01-01\n"),
+                  "--citations", write(tmp_path / "citations.csv",
+                                       "article_id,citing_journal,citation_date\n")]
+        code, out, err = run(capsys, "dynamics", *corpus, "a")
+        assert (code, err) == (0, "")
+        assert [(r["cr_simple"], r["cr_integral"]) for r in csv_rows(out)] == \
+            [("1.000000", "NA")] * 3
+        code, out, _ = run(capsys, "dynamics", *corpus, "a", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["auc_full"] == 0.0 and obj["i3_full"] > 0.0
+        assert [p["cr_integral"] for p in obj["series"]] == [None] * 3
+
 
 # -- calibrate ---------------------------------------------------------
 
@@ -617,3 +638,53 @@ class TestParsing:
         out, _ = capsys.readouterr()
         assert "score" in out and "calibrate" in out
 
+
+
+# -- error contract ----------------------------------------------------
+
+class TestErrorLines:
+    @pytest.mark.parametrize("name, text, message", [
+        ("catalog.csv",
+         "category,journal,issn,year,impact_factor\n"
+         '"bio\nmarine",Delta Review,,2010,1.0\n'
+         "bio,Alpha Letters,1234-5679,2010,2.0\n"
+         "bio,Beta Annals,,20x0,1.0\n",
+         "year must be"),
+        ("articles.csv",
+         "article_id,journal,publication_date\n"
+         '"a\nb",Alpha Letters,2015-01-01\n'
+         "c,Beta Annals,2015-01-01\n"
+         "c,Beta Annals,2015-01-01\n",
+         "duplicate article id 'c'"),
+        ("citations.csv",
+         "article_id,citing_journal,citation_date\n"
+         'a-1,"Beta\nAnnals",2012-01-01\n'
+         "a-1,Gamma Reports,2013-06-15\n"
+         "a-1,Beta Annals,2013-13-01\n",
+         "2013-13-01"),
+    ], ids=["catalog", "articles", "citations"])
+    def test_loader_errors_name_the_physical_line(self, capsys, data, tmp_path,
+                                                  name, text, message):
+        # The first data record spans lines 2-3, so the bad one is on line 5.
+        path = write(tmp_path / name, text)
+        code, out, err = run(capsys, "score", "--all", *data)
+        assert code == 1 and out == ""
+        assert f"{path} line 5: " in err and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["score", "--all", "--as-of", "99999999999999999999"], "after year 9999"),
+        (["score", "--all", "--as-of", "9000"], "as_of 9000 ends the citation window of article 'a-1'"),
+        (["dynamics", "a-1", "--years", "99999999999999999999"], "after year 9999"),
+        (["calibrate", "--phi", "1" + "0" * 400], "phi must be representable"),
+        (["calibrate", "--target", "0.5", "--fscore", "1e-320"], "no finite positive beta"),
+        (["calibrate", "--target", "1e-300", "--fscore", "1e300"], "no finite positive beta"),
+        (["curves", "--beta", "inf"], "beta must be > 0 and finite"),
+    ], ids=["as-of-overflow", "as-of-past-9999", "years-overflow", "huge-phi",
+            "beta-overflow", "beta-underflow", "infinite-beta"])
+    def test_out_of_range_numbers_are_input_errors(self, capsys, data, argv, message):
+        if argv[0] in ("score", "dynamics"):
+            argv = argv[:1] + data + argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and message in err

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,15 @@ class TestCompareAuc:
     def test_same_beta_larger_mass_wins(self):
         result = compare_auc((1000.0, 0.00115129), (2000.0, 0.00115129))
         assert result.greater == "b"
+
+    def test_equal_beta_decides_on_the_masses(self):
+        # The computed areas of these adjacent masses are inverted by an ulp.
+        f_b = math.nextafter(1.0, 2.0)
+        result = compare_auc((1.0, 0.02734375), (f_b, 0.02734375))
+        assert result.auc_a > result.auc_b
+        assert result.greater == "b" and result.difference == 0.0
+        result = compare_auc((f_b, 0.02734375), (1.0, 0.02734375))
+        assert result.greater == "a" and result.difference == 0.0
 
     @given(st.floats(min_value=1.0, max_value=1e4),
            st.floats(min_value=1.0, max_value=1e4),
