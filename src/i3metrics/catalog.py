@@ -204,13 +204,22 @@ def catalog_stats(catalog: Catalog) -> CatalogStats:
             category=category,
             phi=len(members),
             beta=compute_beta(len(members)),
-            mean_if=sum(catalog.journals[m].latest_if() for m in members) / len(members),
+            mean_if=_mean([catalog.journals[m].latest_if() for m in members]),
         )
         for category, members in sorted(catalog.categories.items())
     ]
     mean_phi = sum(s.phi for s in per_category) / len(per_category)
-    mean_if = sum(r.latest_if() for r in catalog.journals.values()) / len(catalog.journals)
+    mean_if = _mean([r.latest_if() for r in catalog.journals.values()])
     return CatalogStats(per_category, mean_phi, mean_if)
+
+
+def _mean(values: list[float]) -> float:
+    """Mean of finite values >= 0, scaled by the largest where their sum overflows."""
+    total = sum(values)
+    if total < math.inf:
+        return total / len(values)
+    top = max(values)
+    return top * (sum(value / top for value in values) / len(values))
 
 
 def _expect_header(reader: Iterable[list[str]], expected: list[str], source: str) -> None:

@@ -51,18 +51,21 @@ def build_parser() -> argparse.ArgumentParser:
                       help="articles CSV (article_id,journal,publication_date)")
     data.add_argument("--citations", required=True, metavar="PATH",
                       help="citations CSV (article_id,citing_journal,citation_date)")
-    data.add_argument("--if-mode", choices=list(IF_MODES), default="current",
-                      help="impact factors as of the event year (historical) "
-                           "or the newest available (current); default current")
     data.add_argument("--fallback-if", type=_impact_factor, default=None, metavar="X",
                       help="impact factor assumed for citing journals missing "
                            "from the catalog (default: strict resolution)")
+
+    # dynamics fixes its own modes: current IFs in full, historical per window.
+    if_mode = _Parser(add_help=False)
+    if_mode.add_argument("--if-mode", choices=list(IF_MODES), default="current",
+                         help="impact factors as of the event year (historical) "
+                              "or the newest available (current); default current")
 
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=["csv", "json"], default="csv",
                      help="output format (default csv)")
 
-    p_score = sub.add_parser("score", parents=[data, fmt],
+    p_score = sub.add_parser("score", parents=[data, if_mode, fmt],
                              help="score the given articles (or --all)")
     p_score.add_argument("ids", nargs="*", metavar="ARTICLE_ID")
     p_score.add_argument("--all", action="store_true",
@@ -71,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="count only citations within this many whole "
                               "years of publication")
 
-    p_rank = sub.add_parser("rank", parents=[data, fmt],
+    p_rank = sub.add_parser("rank", parents=[data, if_mode, fmt],
                             help="rank every article, best first")
     p_rank.add_argument("--as-of", type=int, default=None, metavar="YEARS",
                         help="rank on the citation window ending this many "

@@ -20,6 +20,7 @@ which a tiny but positive index (impact factors near 1e-200) allows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +28,7 @@ from .catalog import Catalog
 from .core import compute_i3, i3_auc, i3_derivative
 from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score
-from .ledger import Ledger, f_score
+from .ledger import Ledger, anniversary_masses, f_score
 
 __all__ = [
     "DynamicsPoint",
@@ -99,9 +100,8 @@ def dynamics_report(
     auc_full = i3_auc(f_full, beta)
 
     series = []
-    for t in years:
-        f_t = f_score(ledger, catalog, article_id, as_of=t,
-                      if_mode="historical", fallback_if=fallback_if)
+    masses = anniversary_masses(ledger, catalog, article_id, years, fallback_if)
+    for t, f_t in zip(years, masses):
         i3_t = compute_i3(f_t, beta)
         if i3_full == 0.0:
             ratio_simple = ratio_integral = None
@@ -167,8 +167,8 @@ def curve_points(beta: float, f_max: float, n: int) -> list[tuple[float, float]]
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if not f_max > 0.0:
-        raise ValueError(f"f_max must be > 0, got {f_max!r}")
+    if not 0.0 < f_max < math.inf:
+        raise ValueError(f"f_max must be > 0 and finite, got {f_max!r}")
     return [
         (f, compute_i3(f, beta))
         for f in (f_max * (i / (n - 1)) for i in range(n))

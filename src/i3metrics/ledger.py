@@ -17,19 +17,25 @@ calendar years (Feb-29 anniversaries fall back to Feb-28).  Because
 impact factors are non-negative and groups are summed in a fixed
 order, a truncated mass never exceeds the full one, even in floating
 point.
+
+Each anniversary's window is a prefix of the next one's, so
+:func:`anniversary_masses` gives the historical masses at several
+anniversaries in one pass over the rows, equal to one :func:`f_score`
+call per anniversary float for float and error for error.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import re
 from array import array
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import IO
+from typing import IO, Sequence
 
 from .catalog import Catalog, _data_rows, _expect_header, _field, canonical_name
 from .errors import InputError, ResolutionError
@@ -41,6 +47,7 @@ __all__ = [
     "load_ledger",
     "shift_years",
     "f_score",
+    "anniversary_masses",
     "citation_count",
     "validate_truncation",
 ]
@@ -245,7 +252,8 @@ def f_score(
     after publication.  Citing journals missing from the catalog abort
     the scoring with a :class:`ResolutionError` listing them, unless
     ``fallback_if`` supplies a stand-in impact factor; the publishing
-    journal must always resolve.
+    journal must always resolve.  A mass that overflows a double is
+    refused with a :class:`ValueError`.
     """
     if if_mode not in IF_MODES:
         raise ValueError(f"if_mode must be one of {IF_MODES}, got {if_mode!r}")
@@ -271,10 +279,7 @@ def f_score(
     if fallback_if is None:
         unknown = sorted({key // span for key in groups if names[key // span] not in journals})
         if unknown:
-            raise ResolutionError(
-                f"article {article_id!r}: citing journals not in catalog: "
-                + ", ".join(_display(ledger, start, stop, unknown))
-            )
+            raise _uncatalogued(ledger, article_id, start, stop, unknown)
 
     total = psi_a
     for key in sorted(groups):
@@ -290,7 +295,68 @@ def f_score(
         else:
             factor = record.latest_if()
         total += groups[key] * factor
+    if total == math.inf:
+        raise _overflow(article_id)
     return total
+
+
+def anniversary_masses(
+    ledger: Ledger,
+    catalog: Catalog,
+    article_id: str,
+    years: Sequence[int],
+    fallback_if: float | None = None,
+) -> list[float]:
+    """Historical-IF mass of one article at each of the ascending ``years``.
+
+    Equal, float for float and error for error, to calling
+    :func:`f_score` with ``as_of=t`` and ``if_mode="historical"`` for
+    each ``t`` in turn, but in one pass over the date-sorted rows: each
+    window extends the previous one, so one group count grows between
+    cutoffs, each group's impact factor is resolved once, and each
+    anniversary sums ``count * factor`` over the keys in the same
+    journal-then-year order as :func:`f_score`.
+    """
+    journals, names = catalog.journals, ledger.names
+    groups: Counter = Counter()
+    keys: list[int] = []  # distinct group keys so far, sorted
+    factors: dict[int, float] = {}
+    uncatalogued = False
+    masses: list[float] = []
+    for t in years:
+        article, start, stop = _window(ledger, article_id, t)
+        if not masses:
+            try:
+                psi_a = catalog.impact_factor(article.journal, article.publication_date.year)
+            except ResolutionError as exc:
+                raise ResolutionError(f"article {article_id!r}: {exc}") from None
+            total, counted = psi_a, start
+        if stop > counted:
+            for key in ledger.groups[counted:stop]:
+                if key not in groups:
+                    insort(keys, key)
+                    uncatalogued = uncatalogued or names[key // _YEAR_SPAN] not in journals
+                groups[key] += 1
+            counted = stop
+            if uncatalogued and fallback_if is None:
+                raise _uncatalogued(ledger, article_id, start, stop, sorted(
+                    {key // _YEAR_SPAN for key in keys if names[key // _YEAR_SPAN] not in journals}))
+            total = psi_a
+            for key in keys:
+                factor = factors.get(key)
+                if factor is None:
+                    rank, year = divmod(key, _YEAR_SPAN)
+                    record = journals.get(names[rank])
+                    try:
+                        factor = fallback_if if record is None else record.if_at(year)
+                    except ResolutionError as exc:
+                        raise ResolutionError(f"article {article_id!r}: {exc}") from None
+                    factors[key] = factor
+                total += groups[key] * factor
+            if total == math.inf:
+                raise _overflow(article_id)
+        masses.append(total)
+    return masses
 
 
 def citation_count(ledger: Ledger, article_id: str, as_of: int | None = None) -> int:
@@ -333,12 +399,19 @@ def _window(
     return article, start, stop
 
 
-def _display(ledger: Ledger, start: int, stop: int, ranks: list[int]) -> list[str]:
-    """Display spelling of each name rank: the first one in rows ``start:stop``."""
+def _overflow(article_id: str) -> ValueError:
+    return ValueError(f"article {article_id!r}: citation mass overflows a double "
+                      f"(impact factors too large)")
+
+
+def _uncatalogued(ledger: Ledger, article_id: str, start: int, stop: int,
+                  ranks: list[int]) -> ResolutionError:
+    """The error listing uncatalogued citing journals by their first spelling in the rows."""
     first: dict[int, str] = {}
     for s, key in zip(ledger.spelled[start:stop], ledger.groups[start:stop]):
         first.setdefault(key // _YEAR_SPAN, ledger.spellings[s])
-    return [first[rank] for rank in ranks]
+    return ResolutionError(f"article {article_id!r}: citing journals not in catalog: "
+                           + ", ".join(first[rank] for rank in ranks))
 
 
 def _intern_spelling(raw: str, ids: dict[str, int], spellings: list[str],

@@ -414,6 +414,13 @@ class TestDynamics:
         assert code == 1
         assert "--years" in err
 
+    def test_if_mode_is_refused(self, capsys, data):
+        # The modes of a trajectory are fixed; the flag used to be accepted and ignored.
+        code, out, err = run(capsys, "dynamics", *data, "a-1",
+                             "--if-mode", "historical", "--fallback-if", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "--if-mode" in err
+
     def test_unknown_article(self, capsys, data):
         code, _, err = run(capsys, "dynamics", *data, "a-99")
         assert code == 1
@@ -527,6 +534,11 @@ class TestCurves:
     def test_nonpositive_beta(self, capsys):
         code, _, err = run(capsys, "curves", "--beta", "-0.5")
         assert code == 1
+
+    def test_infinite_max_f_names_f_max(self, capsys):
+        code, out, err = run(capsys, "curves", "--beta", "0.001", "--max-f", "inf")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "f_max" in err
 
     def test_too_few_samples(self, capsys):
         code, _, err = run(capsys, "curves", "--beta", "0.001",
@@ -688,3 +700,34 @@ class TestErrorLines:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--all"], ["score", "--all", "--format", "json"],
+        ["rank", "--if-mode", "historical"], ["dynamics", "a"],
+        ["dynamics", "b", "--years", "1,2,3"],
+    ], ids=["score-csv", "score-json", "rank", "dynamics-full", "dynamics-window"])
+    def test_overflowing_masses_are_refused(self, capsys, tmp_path, argv):
+        # Two citations at IF 1e308 sum to inf.  For b only the 2010 IFs
+        # do, so the full mass at current IFs is finite and year 3 fails.
+        corpus = ["--catalog", write(tmp_path / "catalog.csv",
+                                     "category,journal,issn,year,impact_factor\n"
+                                     "c,J,,2010,1e308\nc,J,,2020,1.0\nc,K,,2010,1e308\n"),
+                  "--articles", write(tmp_path / "articles.csv",
+                                      "article_id,journal,publication_date\n"
+                                      "a,K,2011-01-01\nb,K,2011-01-01\n"),
+                  "--citations", write(tmp_path / "citations.csv",
+                                       "article_id,citing_journal,citation_date\n"
+                                       "a,K,2012-01-01\na,K,2013-01-01\n"
+                                       "b,J,2012-06-01\nb,J,2013-06-01\n")]
+        code, out, err = run(capsys, *argv, *corpus)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: article '") and err.count("\n") == 1
+        assert "citation mass overflows a double" in err
+
+    def test_catalog_means_stay_finite(self, capsys, tmp_path):
+        catalog = write(tmp_path / "catalog.csv", "category,journal,issn,year,impact_factor\n"
+                        "c,J,,2010,1e308\nc,K,,2010,1e308\n")
+        code, out, _ = run(capsys, "catalog-stats", "--catalog", catalog, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["mean_if"] == obj["categories"][0]["mean_if"] == 1e308

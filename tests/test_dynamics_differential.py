@@ -17,7 +17,7 @@ from i3metrics.catalog import load_catalog
 from i3metrics.core import compute_i3, i3_auc, i3_derivative
 from i3metrics.dynamics import DynamicsPoint, DynamicsReport, dynamics_report
 from i3metrics.errors import ResolutionError
-from i3metrics.ledger import f_score, load_ledger
+from i3metrics.ledger import anniversary_masses, f_score, load_ledger
 from test_differential import corpora
 
 
@@ -47,9 +47,13 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
+def load(catalog_text, articles_text, citations_text):
+    return (load_catalog(io.StringIO(catalog_text)),
+            load_ledger(io.StringIO(articles_text), io.StringIO(citations_text)))
+
+
 def compare(catalog_text, articles_text, citations_text, years, fallback):
-    catalog = load_catalog(io.StringIO(catalog_text))
-    ledger = load_ledger(io.StringIO(articles_text), io.StringIO(citations_text))
+    catalog, ledger = load(catalog_text, articles_text, citations_text)
     engine = {a: outcome(dynamics_report, ledger, catalog, a, years, fallback)
               for a in ledger.articles}
     reference = {a: outcome(composed, ledger, catalog, a, years, fallback)
@@ -64,6 +68,22 @@ def compare(catalog_text, articles_text, citations_text, years, fallback):
        fallback=st.sampled_from([None, 1.0, 0.3]))
 def test_dynamics_matches_per_anniversary_f_score(corpus, years, fallback):
     compare(*corpus, years, fallback)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(),
+       years=st.sets(st.integers(0, 8), min_size=1).map(sorted),
+       fallback=st.sampled_from([None, 1.0, 0.3]))
+def test_anniversary_masses_match_f_score(corpus, years, fallback):
+    # Called directly, so uncatalogued citing journals and the publishing
+    # journal's history are not caught first by the full-mass call.
+    catalog, ledger = load(*corpus)
+    for a in ledger.articles:
+        def per_call():
+            return [f_score(ledger, catalog, a, as_of=t, if_mode="historical",
+                            fallback_if=fallback) for t in years]
+        assert outcome(anniversary_masses, ledger, catalog, a, years, fallback) == \
+            outcome(per_call)
 
 
 CATALOG = ("category,journal,issn,year,impact_factor\n"
@@ -91,3 +111,14 @@ def test_year_past_9999_fails_after_earlier_anniversaries_pass():
                         "(published 2015-01-01) after year 9999")
     assert compare(CATALOG, ARTICLES, citations, [1, 2, 7984], None)["a"].series[-1].t == 7984
 
+
+
+def test_mass_overflow_fails_at_the_anniversary_it_reaches():
+    # The 2010 factor is huge and the current one is not, so the full mass
+    # stays finite and the window sum first overflows at year 3.
+    catalog = CATALOG + "c,Big,,2010,1e308\nc,Big,,2020,1.0\n"
+    citations = ("article_id,citing_journal,citation_date\n"
+                 "a,Big,2015-06-01\na,Big,2017-06-01\n")
+    out = compare(catalog, ARTICLES, citations, [1, 2, 3], None)
+    assert out["a"] == (ValueError, "article 'a': citation mass overflows a double "
+                        "(impact factors too large)")
