@@ -301,3 +301,7 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
     if not values:
         raise InputError(f"{flag} expects at least one value")
     return values
+
+
+if __name__ == "__main__":
+    console()

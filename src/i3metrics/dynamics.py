@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .catalog import Catalog
 from .core import compute_i3, i3_auc, i3_derivative
-from .errors import InputError
+from .errors import InputError, ResolutionError
 from .formats import csv_text, fmt_beta, fmt_score
 from .ledger import Ledger, anniversary_masses, f_score
 
@@ -91,7 +91,10 @@ def dynamics_report(
         raise InputError(f"years must be strictly ascending, got {list(years)!r}")
 
     article = ledger.article(article_id)
-    record = catalog.journal(article.journal)
+    try:
+        record = catalog.journal(article.journal)
+    except ResolutionError as exc:
+        raise ResolutionError(f"article {article_id!r}: {exc}") from None
     beta = catalog.beta_for(record.category)
 
     f_full = f_score(ledger, catalog, article_id, if_mode="current",

@@ -18,10 +18,15 @@ impact factors are non-negative and groups are summed in a fixed
 order, a truncated mass never exceeds the full one, even in floating
 point.
 
-Each anniversary's window is a prefix of the next one's, so
-:func:`anniversary_masses` gives the historical masses at several
-anniversaries in one pass over the rows, equal to one :func:`f_score`
-call per anniversary float for float and error for error.
+Every mass comes from one routine, :func:`_masses`, which walks an
+article's date-sorted rows once and reports the mass at several
+ascending cutoffs, each window a prefix of the next: :func:`f_score`
+asks for one cutoff, :func:`anniversary_masses` for several
+anniversaries, :func:`validate_truncation` for a truncated window and
+the full history.  Errors surface as if each cutoff were scored on its
+own, in turn: a bad ``as_of``, the publishing journal, uncatalogued
+citing journals, the first failing impact factor in sorted key order,
+then overflow.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import datetime as dt
 import math
 import re
 from array import array
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -253,51 +258,13 @@ def f_score(
     the scoring with a :class:`ResolutionError` listing them, unless
     ``fallback_if`` supplies a stand-in impact factor; the publishing
     journal must always resolve.  A mass that overflows a double is
-    refused with a :class:`ValueError`.
+    refused with a :class:`ValueError`.  The mass is the one cutoff of
+    :func:`_masses`; the module docstring gives the order of the errors.
     """
     if if_mode not in IF_MODES:
         raise ValueError(f"if_mode must be one of {IF_MODES}, got {if_mode!r}")
-    historical = if_mode == "historical"
-    article, start, stop = _window(ledger, article_id, as_of)
-    try:
-        if historical:
-            psi_a = catalog.impact_factor(article.journal, article.publication_date.year)
-        else:
-            psi_a = catalog.impact_factor(article.journal)
-    except ResolutionError as exc:
-        raise ResolutionError(f"article {article_id!r}: {exc}") from None
-    if start == stop:
-        return psi_a
-
-    # Each group (citing journal, and year when IFs are historical)
-    # contributes count * impact factor, summed in key order: journal
-    # first, then year.  With current IFs a key is the name rank alone.
-    rows = ledger.groups[start:stop]
-    span = _YEAR_SPAN if historical else 1
-    groups = Counter(rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows))
-    journals, names = catalog.journals, ledger.names
-    if fallback_if is None:
-        unknown = sorted({key // span for key in groups if names[key // span] not in journals})
-        if unknown:
-            raise _uncatalogued(ledger, article_id, start, stop, unknown)
-
-    total = psi_a
-    for key in sorted(groups):
-        rank, year = divmod(key, span)
-        record = journals.get(names[rank])
-        if record is None:
-            factor = fallback_if
-        elif historical:
-            try:
-                factor = record.if_at(year)
-            except ResolutionError as exc:
-                raise ResolutionError(f"article {article_id!r}: {exc}") from None
-        else:
-            factor = record.latest_if()
-        total += groups[key] * factor
-    if total == math.inf:
-        raise _overflow(article_id)
-    return total
+    return _masses(ledger, catalog, article_id, (as_of,), if_mode == "historical",
+                   fallback_if)[0]
 
 
 def anniversary_masses(
@@ -307,56 +274,18 @@ def anniversary_masses(
     years: Sequence[int],
     fallback_if: float | None = None,
 ) -> list[float]:
-    """Historical-IF mass of one article at each of the ascending ``years``.
+    """Historical-IF mass of one article at each of the strictly ascending ``years``.
 
     Equal, float for float and error for error, to calling
     :func:`f_score` with ``as_of=t`` and ``if_mode="historical"`` for
-    each ``t`` in turn, but in one pass over the date-sorted rows: each
-    window extends the previous one, so one group count grows between
-    cutoffs, each group's impact factor is resolved once, and each
-    anniversary sums ``count * factor`` over the keys in the same
-    journal-then-year order as :func:`f_score`.
+    each ``t`` in turn, but computed by :func:`_masses` in one pass
+    over the date-sorted rows.  Years out of order are refused with a
+    :class:`ValueError`.
     """
-    journals, names = catalog.journals, ledger.names
-    groups: Counter = Counter()
-    keys: list[int] = []  # distinct group keys so far, sorted
-    factors: dict[int, float] = {}
-    uncatalogued = False
-    masses: list[float] = []
-    for t in years:
-        article, start, stop = _window(ledger, article_id, t)
-        if not masses:
-            try:
-                psi_a = catalog.impact_factor(article.journal, article.publication_date.year)
-            except ResolutionError as exc:
-                raise ResolutionError(f"article {article_id!r}: {exc}") from None
-            total, counted = psi_a, start
-        if stop > counted:
-            for key in ledger.groups[counted:stop]:
-                if key not in groups:
-                    insort(keys, key)
-                    uncatalogued = uncatalogued or names[key // _YEAR_SPAN] not in journals
-                groups[key] += 1
-            counted = stop
-            if uncatalogued and fallback_if is None:
-                raise _uncatalogued(ledger, article_id, start, stop, sorted(
-                    {key // _YEAR_SPAN for key in keys if names[key // _YEAR_SPAN] not in journals}))
-            total = psi_a
-            for key in keys:
-                factor = factors.get(key)
-                if factor is None:
-                    rank, year = divmod(key, _YEAR_SPAN)
-                    record = journals.get(names[rank])
-                    try:
-                        factor = fallback_if if record is None else record.if_at(year)
-                    except ResolutionError as exc:
-                        raise ResolutionError(f"article {article_id!r}: {exc}") from None
-                    factors[key] = factor
-                total += groups[key] * factor
-            if total == math.inf:
-                raise _overflow(article_id)
-        masses.append(total)
-    return masses
+    # Years that are not whole numbers are left for _window to refuse, with its text.
+    if any(a >= b for a, b in zip(years, years[1:]) if type(a) is type(b) is int):
+        raise ValueError(f"years must be strictly ascending, got {list(years)!r}")
+    return _masses(ledger, catalog, article_id, years, True, fallback_if)
 
 
 def citation_count(ledger: Ledger, article_id: str, as_of: int | None = None) -> int:
@@ -372,10 +301,73 @@ def validate_truncation(
     t: int,
     fallback_if: float | None = None,
 ) -> bool:
-    """Check that the mass truncated at ``t`` years never exceeds the full mass."""
-    truncated = f_score(ledger, catalog, article_id, as_of=t, fallback_if=fallback_if)
-    full = f_score(ledger, catalog, article_id, fallback_if=fallback_if)
+    """Check that the mass truncated at ``t`` years never exceeds the full mass.
+
+    Current impact factors; both masses come from one :func:`_masses` pass.
+    """
+    truncated, full = _masses(ledger, catalog, article_id, (t, None), False, fallback_if)
     return truncated <= full
+
+
+def _masses(
+    ledger: Ledger,
+    catalog: Catalog,
+    article_id: str,
+    cutoffs: Sequence[int | None],
+    historical: bool,
+    fallback_if: float | None,
+) -> list[float]:
+    """Mass of one article at each of the ascending ``cutoffs`` (``None``: full history).
+
+    One group count (citing journal, and year when IFs are historical)
+    grows between cutoffs.  The publishing IF is resolved once and each
+    group's factor at most once.  Every cutoff adds ``count * factor``
+    onto the publishing IF over the sorted keys, journal first, then
+    year, and raises the errors in the order the module docstring gives.
+    """
+    journals, names = catalog.journals, ledger.names
+    span = _YEAR_SPAN if historical else 1  # with current IFs a key is the name rank alone
+    # Kept only across cutoffs: with one cutoff each key is resolved once anyway.
+    factors: dict[int, float] | None = {} if len(cutoffs) > 1 else None
+    masses: list[float] = []
+    try:
+        for cutoff in cutoffs:
+            article, start, stop = _window(ledger, article_id, cutoff)
+            if not masses:
+                year = article.publication_date.year if historical else None
+                total = psi_a = catalog.impact_factor(article.journal, year)
+                counted = start
+            if stop > counted:
+                rows = ledger.groups[counted:stop]
+                keys = rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows)
+                if counted == start:
+                    groups = Counter(keys)
+                else:
+                    groups.update(keys)
+                counted = stop
+                if fallback_if is None:
+                    unknown = sorted({key // span for key in groups
+                                      if names[key // span] not in journals})
+                    if unknown:
+                        raise _uncatalogued(ledger, start, stop, unknown)
+                total = psi_a
+                for key in sorted(groups):
+                    factor = factors.get(key) if factors else None
+                    if factor is None:
+                        rank, year = divmod(key, span)
+                        record = journals.get(names[rank])
+                        factor = (fallback_if if record is None
+                                  else record.if_at(year) if historical else record.latest_if())
+                        if factors is not None:
+                            factors[key] = factor
+                    total += groups[key] * factor
+                if total == math.inf:
+                    raise ValueError(f"article {article_id!r}: citation mass overflows a "
+                                     f"double (impact factors too large)")
+            masses.append(total)
+    except ResolutionError as exc:
+        raise ResolutionError(f"article {article_id!r}: {exc}") from None
+    return masses
 
 
 def _window(
@@ -399,18 +391,12 @@ def _window(
     return article, start, stop
 
 
-def _overflow(article_id: str) -> ValueError:
-    return ValueError(f"article {article_id!r}: citation mass overflows a double "
-                      f"(impact factors too large)")
-
-
-def _uncatalogued(ledger: Ledger, article_id: str, start: int, stop: int,
-                  ranks: list[int]) -> ResolutionError:
+def _uncatalogued(ledger: Ledger, start: int, stop: int, ranks: list[int]) -> ResolutionError:
     """The error listing uncatalogued citing journals by their first spelling in the rows."""
     first: dict[int, str] = {}
     for s, key in zip(ledger.spelled[start:stop], ledger.groups[start:stop]):
         first.setdefault(key // _YEAR_SPAN, ledger.spellings[s])
-    return ResolutionError(f"article {article_id!r}: citing journals not in catalog: "
+    return ResolutionError("citing journals not in catalog: "
                            + ", ".join(first[rank] for rank in ranks))
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .catalog import Catalog
 from .core import compute_beta, compute_i3, i3_auc
-from .errors import InputError
+from .errors import InputError, ResolutionError
 from .formats import csv_text, fmt_beta, fmt_score
 from .ledger import Ledger, citation_count, f_score
 
@@ -89,7 +89,10 @@ def score_articles(
     reports = []
     for article_id in article_ids:
         article = ledger.article(article_id)
-        record = catalog.journal(article.journal)
+        try:
+            record = catalog.journal(article.journal)
+        except ResolutionError as exc:
+            raise ResolutionError(f"article {article_id!r}: {exc}") from None
         phi = catalog.phi(record.category)
         beta = compute_beta(phi)
         mass = f_score(ledger, catalog, article_id, as_of=as_of,

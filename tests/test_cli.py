@@ -9,11 +9,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 
+import i3metrics
 from i3metrics.cli import main
 from i3metrics.core import compute_beta, compute_i3
 
@@ -467,6 +471,15 @@ class TestCalibrate:
         assert code == 0
         assert out == "0.106103295\n"
 
+    def test_module_form_runs_the_command(self):
+        # ``python -m i3metrics.cli`` must do what the console script does.
+        src = str(Path(i3metrics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "i3metrics.cli", "calibrate", "--phi", "1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0.106103295\n", "")
+
     def test_modes_are_exclusive(self, capsys):
         code, _, err = run(capsys, "calibrate", "--phi", "5",
                            "--target", "0.9", "--fscore", "100")
@@ -731,3 +744,22 @@ class TestErrorLines:
         assert code == 0
         obj = json.loads(out)
         assert obj["mean_if"] == obj["categories"][0]["mean_if"] == 1e308
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--all"], ["score", "b", "--format", "json"], ["rank"],
+        ["dynamics", "b"],
+    ], ids=["score-all", "score-id", "rank", "dynamics"])
+    def test_uncatalogued_publishing_journal_names_the_article(self, capsys, tmp_path, argv):
+        corpus = ["--catalog", write(tmp_path / "catalog.csv",
+                                     "category,journal,issn,year,impact_factor\n"
+                                     "c,J,,2010,1.0\n"),
+                  "--articles", write(tmp_path / "articles.csv",
+                                      "article_id,journal,publication_date\n"
+                                      "a,J,2011-01-01\nb, Missing Journal ,2011-01-01\n"),
+                  "--citations", write(tmp_path / "citations.csv",
+                                       "article_id,citing_journal,citation_date\n"
+                                       "a,J,2012-01-01\n"),
+                  "--fallback-if", "1"]
+        code, out, err = run(capsys, *argv, *corpus)
+        assert (code, out) == (2, "")
+        assert err == "error: article 'b': journal 'Missing Journal' not in catalog\n"

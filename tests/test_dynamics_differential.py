@@ -10,6 +10,7 @@ which pins the order in which errors surface.
 
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from i3metrics.catalog import load_catalog
 from i3metrics.core import compute_i3, i3_auc, i3_derivative
 from i3metrics.dynamics import DynamicsPoint, DynamicsReport, dynamics_report
 from i3metrics.errors import ResolutionError
-from i3metrics.ledger import anniversary_masses, f_score, load_ledger
+from i3metrics.ledger import anniversary_masses, f_score, load_ledger, validate_truncation
 from test_differential import corpora
 
 
@@ -86,6 +87,19 @@ def test_anniversary_masses_match_f_score(corpus, years, fallback):
             outcome(per_call)
 
 
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(), t=st.integers(0, 6), fallback=st.sampled_from([None, 1.0, 0.3]))
+def test_validate_truncation_matches_two_f_score_calls(corpus, t, fallback):
+    # One pass over the window at t and the full history, at current IFs.
+    catalog, ledger = load(*corpus)
+    for a in ledger.articles:
+        def per_call():
+            return (f_score(ledger, catalog, a, as_of=t, fallback_if=fallback)
+                    <= f_score(ledger, catalog, a, fallback_if=fallback))
+        assert outcome(validate_truncation, ledger, catalog, a, t, fallback) == \
+            outcome(per_call)
+
+
 CATALOG = ("category,journal,issn,year,impact_factor\n"
            "c,Home,,2010,1.3\nc,Alpha Review,,2019,0.7\nc,Zeta Review,,2018,2.1\n")
 ARTICLES = "article_id,journal,publication_date\na,home,2015-01-01\n"
@@ -122,3 +136,30 @@ def test_mass_overflow_fails_at_the_anniversary_it_reaches():
     out = compare(catalog, ARTICLES, citations, [1, 2, 3], None)
     assert out["a"] == (ValueError, "article 'a': citation mass overflows a double "
                         "(impact factors too large)")
+
+
+@pytest.mark.parametrize("years", [[5, 1], [1, 1], [0, 3, 2]])
+def test_anniversary_masses_refuse_years_out_of_order(years):
+    catalog, ledger = load(CATALOG, ARTICLES, "article_id,citing_journal,citation_date\n"
+                           "a,Home,2015-06-01\na,Home,2018-06-01\n")
+    with pytest.raises(ValueError, match=r"^years must be strictly ascending, got \["):
+        anniversary_masses(ledger, catalog, "a", years)
+
+
+def test_truncation_check_reports_the_window_before_the_full_history():
+    # Ghost is cited within a year, Phantom later: the truncated window
+    # fails first and names only Ghost.
+    catalog, ledger = load(CATALOG, ARTICLES, "article_id,citing_journal,citation_date\n"
+                           "a,Phantom,2017-06-01\na,Ghost,2015-06-01\n")
+    assert outcome(validate_truncation, ledger, catalog, "a", 1, None) == (
+        ResolutionError, "article 'a': citing journals not in catalog: Ghost")
+    assert outcome(validate_truncation, ledger, catalog, "a", 0, None) == (
+        ResolutionError, "article 'a': citing journals not in catalog: Ghost, Phantom")
+    assert validate_truncation(ledger, catalog, "a", 1, 0.3)
+
+
+def test_anniversary_masses_leave_non_integer_years_to_the_window_check():
+    catalog, ledger = load(CATALOG, ARTICLES, "article_id,citing_journal,citation_date\n")
+    for years in ([2, 1.5], [1, "a"]):
+        with pytest.raises(ValueError, match="^as_of must be a whole number of years"):
+            anniversary_masses(ledger, catalog, "a", years)
