@@ -55,30 +55,28 @@ def build_parser() -> argparse.ArgumentParser:
                       help="impact factor assumed for citing journals missing "
                            "from the catalog (default: strict resolution)")
 
-    # dynamics fixes its own modes: current IFs in full, historical per window.
-    if_mode = _Parser(add_help=False)
-    if_mode.add_argument("--if-mode", choices=list(IF_MODES), default="current",
+    # dynamics fixes its own modes and windows: current IFs in full,
+    # historical per anniversary.
+    scoring = _Parser(add_help=False)
+    scoring.add_argument("--if-mode", choices=list(IF_MODES), default="current",
                          help="impact factors as of the event year (historical) "
                               "or the newest available (current); default current")
+    scoring.add_argument("--as-of", type=int, default=None, metavar="YEARS",
+                         help="count only citations within this many whole "
+                              "years of each publication")
 
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=["csv", "json"], default="csv",
                      help="output format (default csv)")
 
-    p_score = sub.add_parser("score", parents=[data, if_mode, fmt],
+    p_score = sub.add_parser("score", parents=[data, scoring, fmt],
                              help="score the given articles (or --all)")
     p_score.add_argument("ids", nargs="*", metavar="ARTICLE_ID")
     p_score.add_argument("--all", action="store_true",
                          help="score every article in the ledger")
-    p_score.add_argument("--as-of", type=int, default=None, metavar="YEARS",
-                         help="count only citations within this many whole "
-                              "years of publication")
 
-    p_rank = sub.add_parser("rank", parents=[data, if_mode, fmt],
+    p_rank = sub.add_parser("rank", parents=[data, scoring, fmt],
                             help="rank every article, best first")
-    p_rank.add_argument("--as-of", type=int, default=None, metavar="YEARS",
-                        help="rank on the citation window ending this many "
-                             "whole years after each publication")
     p_rank.add_argument("--matthew", action="store_true",
                         help="append the index-vs-citation-count divergence summary")
 
@@ -148,9 +146,9 @@ def console() -> None:
 # -- handlers ----------------------------------------------------------
 
 def _cmd_score(args) -> str:
-    catalog, ledger = _load_inputs(args)
     if args.all and args.ids:
         raise InputError("pass explicit article ids or --all, not both")
+    catalog, ledger = _load_inputs(args)
     ids = list(ledger.articles) if args.all else list(args.ids)
     reports = score_articles(ledger, catalog, ids, if_mode=args.if_mode,
                              as_of=args.as_of, fallback_if=args.fallback_if)
@@ -176,8 +174,8 @@ def _cmd_rank(args) -> str:
 
 
 def _cmd_dynamics(args) -> str:
-    catalog, ledger = _load_inputs(args)
     years = _parse_int_list(args.years, "--years")
+    catalog, ledger = _load_inputs(args)
     report = dynamics_report(ledger, catalog, args.article_id, years,
                              fallback_if=args.fallback_if)
     if args.format == "json":

@@ -139,7 +139,9 @@ def cr_integral(t_score: float, f_full: float, beta: float) -> float:
     denominator = i3_auc(f_full, beta)
     if denominator == 0.0:
         raise ValueError("full-history area underflows to zero; ratio undefined")
-    return i3_auc(t_score, beta) / denominator
+    # The exact ratio is at most 1 for t_score <= f_full; the rounded
+    # areas can overshoot by a few ulps when the masses nearly coincide.
+    return min(i3_auc(t_score, beta) / denominator, 1.0)
 
 
 def cr_simple(i3_t: float, i3_full: float) -> float:

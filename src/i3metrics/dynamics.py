@@ -8,8 +8,9 @@ discriminates better once scores crowd the asymptote.
 
 Per convention, the truncated masses use each citation's own-year
 impact factors while the full-history denominator uses present-day
-ones.  When impact factors decline over time this can push a ratio
-above 1; such values are reported as-is and flagged, never clamped.
+ones.  Declining impact factors can push a ratio above 1, and so can
+rounding alone: windows sum per (journal, year) group, the full mass
+per journal.  Such values are reported as-is and flagged, never clamped.
 Articles whose full-history index is 0 have no distribution to take a
 fraction of, so their ratio columns are explicitly undefined (``None``
 in reports, ``NA`` in CSV) rather than 0/0.  Likewise the integral
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from .catalog import Catalog
 from .core import compute_i3, i3_auc, i3_derivative
-from .errors import InputError, ResolutionError
+from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score
 from .ledger import Ledger, anniversary_masses, f_score
 
@@ -90,15 +91,10 @@ def dynamics_report(
     if any(a >= b for a, b in zip(years, years[1:])):
         raise InputError(f"years must be strictly ascending, got {list(years)!r}")
 
-    article = ledger.article(article_id)
-    try:
-        record = catalog.journal(article.journal)
-    except ResolutionError as exc:
-        raise ResolutionError(f"article {article_id!r}: {exc}") from None
-    beta = catalog.beta_for(record.category)
-
     f_full = f_score(ledger, catalog, article_id, if_mode="current",
                      fallback_if=fallback_if)
+    # f_score has resolved the article and its publishing journal.
+    beta = catalog.beta_for(catalog.journal(ledger.articles[article_id].journal).category)
     i3_full = compute_i3(f_full, beta)
     auc_full = i3_auc(f_full, beta)
 

@@ -763,3 +763,32 @@ class TestErrorLines:
         code, out, err = run(capsys, *argv, *corpus)
         assert (code, out) == (2, "")
         assert err == "error: article 'b': journal 'Missing Journal' not in catalog\n"
+
+
+class TestErrorOrder:
+    """Flags are checked before any file is read; then f_score's order holds."""
+
+    def test_bad_as_of_before_uncatalogued_publishing_journal(self, capsys, tmp_path):
+        corpus = ["--catalog", write(tmp_path / "catalog.csv",
+                                     "category,journal,issn,year,impact_factor\n"
+                                     "c,J,,2010,1.0\n"),
+                  "--articles", write(tmp_path / "articles.csv",
+                                      "article_id,journal,publication_date\n"
+                                      "a,Missing Journal,2011-01-01\n"),
+                  "--citations", write(tmp_path / "citations.csv",
+                                       "article_id,citing_journal,citation_date\n")]
+        code, out, err = run(capsys, "score", "a", "--as-of", "-1", *corpus)
+        assert (code, out) == (1, "")
+        assert err == "error: as_of must be a whole number of years >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["score", "--all", "a-1"], "pass explicit article ids or --all, not both"),
+        (["dynamics", "X", "--years", "1,x"],
+         "--years expects comma-separated integers, got '1,x'"),
+    ], ids=["score-all-with-ids", "dynamics-years"])
+    def test_flag_errors_before_reading_files(self, capsys, data, tmp_path, argv, message):
+        corpus = list(data)
+        corpus[3] = str(tmp_path / "absent.csv")  # --articles
+        code, out, err = run(capsys, *argv, *corpus)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"

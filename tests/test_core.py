@@ -206,6 +206,10 @@ class TestCrIntegral:
         assert cr_integral(0.0, 500.0, 0.002) == 0.0
         assert cr_integral(500.0, 500.0, 0.002) == 1.0
 
+    def test_capped_at_one_when_masses_nearly_coincide(self):
+        # The rounded areas put the truncated one a few ulps above the full one.
+        assert cr_integral(0.9999999999999999, 1.0, 0.09375) == 1.0
+
     def test_approaches_mass_ratio_when_saturated(self):
         beta = 0.00115129
         f_full = 200.0 / beta  # deep saturation
