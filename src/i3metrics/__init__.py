@@ -49,11 +49,13 @@ from .ranking import (
     MatthewSummary,
     PercentileTable,
     RankDisplacement,
+    Ranking,
     ScoreReport,
     assign_ranks,
     matthew_comparison,
     percentile_table,
     rank,
+    ranked_rows,
     score_articles,
 )
 
@@ -91,12 +93,14 @@ __all__ = [
     "compare_auc",
     "curve_points",
     "ScoreReport",
+    "Ranking",
     "PercentileTable",
     "MatthewSummary",
     "RankDisplacement",
     "score_articles",
     "assign_ranks",
     "rank",
+    "ranked_rows",
     "percentile_table",
     "matthew_comparison",
     "generate_corpus",

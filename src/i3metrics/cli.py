@@ -15,18 +15,19 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .catalog import Catalog, catalog_stats, load_catalog
 from .core import compute_beta, solve_beta
-from .dynamics import curve_points, curve_family_to_csv, dynamics_report, \
-    dynamics_to_csv, dynamics_to_json
+from .dynamics import check_years, curve_points, curve_family_to_csv, \
+    dynamics_report, dynamics_to_csv, dynamics_to_json
 from .errors import InputError, ResolutionError
 from .formats import csv_text, fmt_beta, fmt_score
 from .generate import generate_corpus
-from .ledger import IF_MODES, Ledger, load_ledger
+from .ledger import IF_MODES, Ledger, check_as_of, load_ledger
 from .ranking import matthew_comparison, matthew_to_csv, matthew_to_obj, \
-    rank, report_to_obj, reports_to_csv, reports_to_json, score_articles
+    rank, ranked_rows, report_to_obj, reports_to_csv, reports_to_json, score_articles
 
 __all__ = ["build_parser", "main", "console"]
 
@@ -148,6 +149,7 @@ def console() -> None:
 def _cmd_score(args) -> str:
     if args.all and args.ids:
         raise InputError("pass explicit article ids or --all, not both")
+    check_as_of(args.as_of)
     catalog, ledger = _load_inputs(args)
     ids = list(ledger.articles) if args.all else list(args.ids)
     reports = score_articles(ledger, catalog, ids, if_mode=args.if_mode,
@@ -158,12 +160,13 @@ def _cmd_score(args) -> str:
 
 
 def _cmd_rank(args) -> str:
+    check_as_of(args.as_of)
     catalog, ledger = _load_inputs(args)
     reports = score_articles(ledger, catalog, None, if_mode=args.if_mode,
                              as_of=args.as_of, fallback_if=args.fallback_if)
     ranked = rank(reports)
     if args.format == "json":
-        obj = {"ranking": [report_to_obj(r) for r in ranked]}
+        obj = {"ranking": [report_to_obj(*row) for row in ranked_rows(ranked)]}
         if args.matthew:
             obj["matthew"] = matthew_to_obj(matthew_comparison(ranked))
         return json.dumps(obj, indent=2) + "\n"
@@ -174,7 +177,8 @@ def _cmd_rank(args) -> str:
 
 
 def _cmd_dynamics(args) -> str:
-    years = _parse_int_list(args.years, "--years")
+    years = _parse_list(args.years, "--years", int, "integers")
+    check_years(years)
     catalog, ledger = _load_inputs(args)
     report = dynamics_report(ledger, catalog, args.article_id, years,
                              fallback_if=args.fallback_if)
@@ -197,15 +201,15 @@ def _cmd_calibrate(args) -> str:
 
 
 def _cmd_curves(args) -> str:
-    betas = _parse_float_list(args.beta, "--beta")
+    betas = _parse_list(args.beta, "--beta", float, "numbers")
+    if not betas:
+        raise InputError("--beta expects at least one value")
     curves = [(beta, curve_points(beta, args.max_f, args.samples))
               for beta in betas]
     return curve_family_to_csv(curves)
 
 
 def _cmd_gen(args) -> str:
-    if args.n_articles < 1 or args.n_categories < 1:
-        raise InputError("--articles and --categories must be at least 1")
     paths = generate_corpus(args.out, args.n_articles, args.n_categories,
                             args.seed)
     return "".join(f"{p}\n" for p in paths)
@@ -215,16 +219,7 @@ def _cmd_catalog_stats(args) -> str:
     catalog = _read_catalog(args.catalog)
     stats = catalog_stats(catalog)
     if args.format == "json":
-        obj = {
-            "categories": [
-                {"category": c.category, "phi": c.phi, "beta": c.beta,
-                 "mean_if": c.mean_if}
-                for c in stats.categories
-            ],
-            "mean_phi": stats.mean_phi,
-            "mean_if": stats.mean_if,
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(asdict(stats), indent=2) + "\n"
     rows = [("category", "phi", "beta", "mean_if")]
     rows += [(c.category, c.phi, fmt_beta(c.beta), fmt_score(c.mean_if))
              for c in stats.categories]
@@ -284,21 +279,11 @@ def _check_readable(*paths) -> None:
         raise InputError("cannot read: " + ", ".join(missing))
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
+def _parse_list(raw: str, flag: str, parse, kind: str) -> list:
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        return [parse(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise InputError(f"{flag} expects comma-separated integers, got {raw!r}")
-
-
-def _parse_float_list(raw: str, flag: str) -> list[float]:
-    try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise InputError(f"{flag} expects comma-separated numbers, got {raw!r}")
-    if not values:
-        raise InputError(f"{flag} expects at least one value")
-    return values
+        raise InputError(f"{flag} expects comma-separated {kind}, got {raw!r}")
 
 
 if __name__ == "__main__":

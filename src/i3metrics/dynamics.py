@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .catalog import Catalog
@@ -73,6 +73,16 @@ class DynamicsReport:
     derivative_at_full: float
 
 
+def check_years(years: Sequence[int]) -> None:
+    """Refuse anniversaries that are not positive whole years, strictly ascending."""
+    if not years:
+        raise InputError("years must not be empty")
+    if any(isinstance(y, bool) or not isinstance(y, int) or y < 1 for y in years):
+        raise InputError(f"years must be positive integers, got {list(years)!r}")
+    if any(a >= b for a, b in zip(years, years[1:])):
+        raise InputError(f"years must be strictly ascending, got {list(years)!r}")
+
+
 def dynamics_report(
     ledger: Ledger,
     catalog: Catalog,
@@ -82,14 +92,9 @@ def dynamics_report(
 ) -> DynamicsReport:
     """Index trajectory of one article at the given anniversaries.
 
-    ``years`` must be positive whole years, strictly ascending.
+    ``years`` must pass :func:`check_years`.
     """
-    if not years:
-        raise InputError("years must not be empty")
-    if any(isinstance(y, bool) or not isinstance(y, int) or y < 1 for y in years):
-        raise InputError(f"years must be positive integers, got {list(years)!r}")
-    if any(a >= b for a, b in zip(years, years[1:])):
-        raise InputError(f"years must be strictly ascending, got {list(years)!r}")
+    check_years(years)
 
     f_full = f_score(ledger, catalog, article_id, if_mode="current",
                      fallback_if=fallback_if)
@@ -112,15 +117,8 @@ def dynamics_report(
             ratio_integral = i3_auc(f_t, beta) / auc_full if auc_full else None
         series.append(DynamicsPoint(t, f_t, i3_t, ratio_simple, ratio_integral))
 
-    return DynamicsReport(
-        article_id=article_id,
-        beta=beta,
-        f_full=f_full,
-        i3_full=i3_full,
-        series=series,
-        auc_full=auc_full,
-        derivative_at_full=i3_derivative(f_full, beta),
-    )
+    return DynamicsReport(article_id, beta, f_full, i3_full, series, auc_full,
+                          i3_derivative(f_full, beta))
 
 
 @dataclass(frozen=True)
@@ -195,17 +193,7 @@ def dynamics_to_json(report: DynamicsReport) -> str:
         "i3_full": report.i3_full,
         "auc_full": report.auc_full,
         "derivative_at_full": report.derivative_at_full,
-        "series": [
-            {
-                "t": p.t,
-                "f_t": p.f_t,
-                "i3_t": p.i3_t,
-                "cr_simple": p.cr_simple,
-                "cr_integral": p.cr_integral,
-                "exceeds_unity": p.exceeds_unity,
-            }
-            for p in report.series
-        ],
+        "series": [{**asdict(p), "exceeds_unity": p.exceeds_unity} for p in report.series],
     }
     return json.dumps(obj, indent=2) + "\n"
 

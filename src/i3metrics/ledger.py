@@ -379,10 +379,7 @@ def _window(
     ledger: Ledger, article_id: str, as_of: int | None
 ) -> tuple[ArticleRecord, int, int]:
     """The article and the rows of its citations up to ``as_of`` years after publication."""
-    if as_of is not None and (
-        isinstance(as_of, bool) or not isinstance(as_of, int) or as_of < 0
-    ):
-        raise ValueError(f"as_of must be a whole number of years >= 0, got {as_of!r}")
+    check_as_of(as_of)
     article = ledger.article(article_id)
     i = ledger.positions[article_id]
     start, stop = ledger.offsets[i], ledger.offsets[i + 1]
@@ -394,6 +391,14 @@ def _window(
         cutoff = shift_years(article.publication_date, as_of).toordinal()
         stop = bisect_right(ledger.days, cutoff, start, stop)
     return article, start, stop
+
+
+def check_as_of(as_of: int | None) -> None:
+    """Refuse an ``as_of`` that is not None or a whole number of years >= 0."""
+    if as_of is not None and (
+        isinstance(as_of, bool) or not isinstance(as_of, int) or as_of < 0
+    ):
+        raise ValueError(f"as_of must be a whole number of years >= 0, got {as_of!r}")
 
 
 def _uncatalogued(ledger: Ledger, start: int, stop: int, ranks: list[int]) -> ResolutionError:

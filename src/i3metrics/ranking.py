@@ -16,8 +16,8 @@ is the intended counterweight to rich-get-richer citation dynamics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, count
 from typing import Sequence
 
 from .catalog import Catalog
@@ -28,6 +28,7 @@ from .ledger import Ledger, citation_count, f_score
 
 __all__ = [
     "ScoreReport",
+    "Ranking",
     "PercentileTable",
     "MatthewSummary",
     "RankDisplacement",
@@ -35,6 +36,7 @@ __all__ = [
     "score_articles",
     "assign_ranks",
     "rank",
+    "ranked_rows",
     "percentile_table",
     "matthew_comparison",
     "reports_to_csv",
@@ -59,7 +61,7 @@ MIN_PERCENTILE_SAMPLE = 20
 
 @dataclass(frozen=True, slots=True)
 class ScoreReport:
-    """Scored article, plus rank fields filled in by :func:`rank`."""
+    """One scored article; its ranks live in the :class:`Ranking` that holds it."""
 
     article_id: str
     category: str
@@ -68,8 +70,16 @@ class ScoreReport:
     f_score: float
     i3: float
     citation_count: int
-    rank_i3: int | None = None
-    rank_citations: int | None = None
+
+
+class Ranking(list):
+    """The reports best first by index, as :func:`rank` returns them.
+
+    The index rank of ``self[k]`` is ``k + 1``; its citation-count rank
+    is ``self.rank_citations[k]``.  List equality compares the reports only.
+    """
+
+    rank_citations: list[int]
 
 
 def score_articles(
@@ -86,23 +96,22 @@ def score_articles(
     """
     if article_ids is None:
         article_ids = list(ledger.articles)
+    resolved = {}  # publishing spelling -> (category, phi, beta)
     reports = []
     for article_id in article_ids:
         mass = f_score(ledger, catalog, article_id, as_of=as_of,
                        if_mode=if_mode, fallback_if=fallback_if)
         # f_score has resolved the article and its publishing journal.
-        record = catalog.journal(ledger.articles[article_id].journal)
-        phi = catalog.phi(record.category)
-        beta = compute_beta(phi)
+        spelling = ledger.articles[article_id].journal
+        journal = resolved.get(spelling)
+        if journal is None:
+            category = catalog.journal(spelling).category
+            phi = catalog.phi(category)
+            journal = resolved[spelling] = (category, phi, compute_beta(phi))
+        category, phi, beta = journal
         reports.append(ScoreReport(
-            article_id=article_id,
-            category=record.category,
-            phi=phi,
-            beta=beta,
-            f_score=mass,
-            i3=compute_i3(mass, beta),
-            citation_count=citation_count(ledger, article_id, as_of=as_of),
-        ))
+            article_id, category, phi, beta, mass, compute_i3(mass, beta),
+            citation_count(ledger, article_id, as_of=as_of)))
     return reports
 
 
@@ -120,23 +129,24 @@ def _citation_key(report: ScoreReport):
     return (-report.citation_count, report.article_id)
 
 
-def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
-    """Reports ordered best-first by index, both rank columns filled in.
+def rank(reports: Sequence[ScoreReport]) -> Ranking:
+    """The reports best first by index, with their citation-count ranks.
 
-    The only place ranks are computed: one sort per ranking.
+    The only place ranks are computed: one sort per ranking, and no
+    report is copied.
     """
-    by_citations = sorted(reports, key=_citation_key)
-    citation_rank = {r.article_id: i for i, r in enumerate(by_citations, start=1)}
-    return [
-        replace(r, rank_i3=i, rank_citations=citation_rank[r.article_id])
-        for i, r in enumerate(sorted(reports, key=_index_key), start=1)
-    ]
+    ranked = Ranking(sorted(reports, key=_index_key))
+    keys = [_citation_key(r) for r in ranked]
+    ranks = ranked.rank_citations = [0] * len(ranked)
+    for position, k in enumerate(sorted(range(len(ranked)), key=keys.__getitem__), start=1):
+        ranks[k] = position
+    return ranked
 
 
-def assign_ranks(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
-    """Fill both rank columns; returns new reports in the input order."""
-    ranked = {r.article_id: r for r in rank(reports)}
-    return [ranked[r.article_id] for r in reports]
+def assign_ranks(reports: Sequence[ScoreReport]) -> list[tuple[int, int]]:
+    """``(rank_i3, rank_citations)`` of each report, in the input order."""
+    ranks = {r.article_id: (i, c) for r, i, c in ranked_rows(rank(reports))}
+    return [ranks[r.article_id] for r in reports]
 
 
 @dataclass(frozen=True)
@@ -179,7 +189,7 @@ class RankDisplacement:
 
 @dataclass(frozen=True)
 class MatthewSummary:
-    ranked: Sequence[ScoreReport]  # the output of rank(), best first
+    ranked: Ranking  # the output of rank(), best first
     improved: int  # articles strictly better ranked by index than by counts
 
     @property
@@ -188,7 +198,7 @@ class MatthewSummary:
         return [RankDisplacement(*row) for row in _matthew_rows(self.ranked)]
 
 
-def matthew_comparison(ranked: Sequence[ScoreReport]) -> MatthewSummary:
+def matthew_comparison(ranked: Ranking) -> MatthewSummary:
     """Contrast index ranking with citation-count ranking.
 
     ``ranked`` is the output of :func:`rank`; only its rank columns are
@@ -199,35 +209,43 @@ def matthew_comparison(ranked: Sequence[ScoreReport]) -> MatthewSummary:
     """
     if len(ranked) < 2:
         raise InputError("need at least 2 scored articles to compare rankings")
-    improved = sum(1 for r in ranked if r.rank_citations > r.rank_i3)
+    improved = sum(1 for i, c in enumerate(ranked.rank_citations, start=1) if c > i)
     return MatthewSummary(ranked, improved)
 
 
-def _matthew_rows(ranked: Sequence[ScoreReport]):
+def _matthew_rows(ranked: Ranking):
     """One row per article, in ``MATTHEW_HEADER`` order."""
-    for r in ranked:
-        yield r.article_id, r.rank_i3, r.rank_citations, r.rank_citations - r.rank_i3
+    for r, i, c in ranked_rows(ranked):
+        yield r.article_id, i, c, c - i
+
+
+def ranked_rows(reports: Sequence[ScoreReport]):
+    """``(report, rank_i3, rank_citations)`` per report; None ranks unless a :class:`Ranking`."""
+    if isinstance(reports, Ranking):
+        return zip(reports, count(1), reports.rank_citations)
+    return ((r, None, None) for r in reports)
 
 
 def reports_to_csv(reports: Sequence[ScoreReport]) -> str:
     rows = (
         (r.article_id, r.category, r.phi, fmt_beta(r.beta), fmt_score(r.f_score),
-         fmt_score(r.i3), r.citation_count, r.rank_i3, r.rank_citations)
-        for r in reports
+         fmt_score(r.i3), r.citation_count, rank_i3, rank_citations)
+        for r, rank_i3, rank_citations in ranked_rows(reports)
     )
     return csv_text(chain([REPORT_HEADER], rows))
 
 
-def report_to_obj(r: ScoreReport) -> dict:
+def report_to_obj(r: ScoreReport, rank_i3: int | None = None,
+                  rank_citations: int | None = None) -> dict:
     """JSON-ready mapping for one report, keeping full float precision."""
     return dict(zip(REPORT_HEADER, (
         r.article_id, r.category, r.phi, r.beta, r.f_score,
-        r.i3, r.citation_count, r.rank_i3, r.rank_citations,
+        r.i3, r.citation_count, rank_i3, rank_citations,
     )))
 
 
 def reports_to_json(reports: Sequence[ScoreReport]) -> str:
-    return json.dumps([report_to_obj(r) for r in reports], indent=2) + "\n"
+    return json.dumps([report_to_obj(*row) for row in ranked_rows(reports)], indent=2) + "\n"
 
 
 def percentile_table_to_csv(table: PercentileTable) -> str:

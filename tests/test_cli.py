@@ -785,7 +785,14 @@ class TestErrorOrder:
         (["score", "--all", "a-1"], "pass explicit article ids or --all, not both"),
         (["dynamics", "X", "--years", "1,x"],
          "--years expects comma-separated integers, got '1,x'"),
-    ], ids=["score-all-with-ids", "dynamics-years"])
+        (["score", "--as-of", "-1"], "as_of must be a whole number of years >= 0, got -1"),
+        (["rank", "--as-of", "-1"], "as_of must be a whole number of years >= 0, got -1"),
+        (["dynamics", "X", "--years", "5,1"], "years must be strictly ascending, got [5, 1]"),
+        (["dynamics", "X", "--years", "0,5"], "years must be positive integers, got [0, 5]"),
+        (["dynamics", "X", "--years", ","], "years must not be empty"),
+    ], ids=["score-all-with-ids", "dynamics-years", "score-negative-as-of",
+            "rank-negative-as-of", "dynamics-years-descending", "dynamics-years-zero",
+            "dynamics-years-empty"])
     def test_flag_errors_before_reading_files(self, capsys, data, tmp_path, argv, message):
         corpus = list(data)
         corpus[3] = str(tmp_path / "absent.csv")  # --articles

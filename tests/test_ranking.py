@@ -3,25 +3,31 @@
 import csv
 import io
 import json
+import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from i3metrics.catalog import load_catalog
-from i3metrics.core import compute_i3, solve_beta
+from i3metrics.core import compute_beta, compute_i3, solve_beta
 from i3metrics.errors import InputError
 from i3metrics.ledger import load_ledger
 from i3metrics.ranking import (
     REPORT_HEADER,
+    Ranking,
     ScoreReport,
+    _citation_key,
+    _index_key,
     assign_ranks,
     matthew_comparison,
     matthew_to_csv,
     percentile_table,
     percentile_table_to_csv,
     rank,
+    ranked_rows,
     reports_to_csv,
     reports_to_json,
     score_articles,
@@ -42,11 +48,53 @@ def report(article_id, f, beta=BETA, category="c", phi=92, citations=0):
     )
 
 
+@dataclass(frozen=True)
+class RankedReport:
+    report: ScoreReport
+    rank_i3: int
+    rank_citations: int
+
+
+def reference_rank(reports):
+    """Plain reference for rank(): sort both ways, copy each report with its ranks."""
+    by_citations = sorted(reports, key=_citation_key)
+    citation_rank = {r.article_id: i for i, r in enumerate(by_citations, start=1)}
+    return [RankedReport(r, i, citation_rank[r.article_id])
+            for i, r in enumerate(sorted(reports, key=_index_key), start=1)]
+
+
+# Pools small enough that draws collide: equal masses, equal
+# coefficients, equal counts, and masses whose index saturates (1e6
+# gives exactly 1.0; 4e4 and 1e5 round to the same index at 1e-12).
+TIE_MASSES = [0.0, 6.0, 15.517, math.nextafter(15.517, math.inf), 4e4, 1e5, 1e6]
+TIE_BETAS = [BETA, 0.003, compute_beta(98)]
+
+tied_reports = st.lists(
+    st.tuples(st.text(alphabet="abc", min_size=1, max_size=3),
+              st.sampled_from(TIE_MASSES) | st.floats(min_value=0.0, max_value=1e6),
+              st.sampled_from(TIE_BETAS),
+              st.integers(min_value=0, max_value=3)),
+    max_size=30, unique_by=lambda row: row[0],
+).map(lambda rows: [report(article_id, f, beta=beta, citations=n)
+                    for article_id, f, beta, n in rows])
+
+
 class TestRank:
     def test_larger_mass_outranks(self):
         ranked = rank([report("low", 10.0), report("high", 20.0)])
-        assert [r.article_id for r in ranked] == ["high", "low"]
-        assert [r.rank_i3 for r in ranked] == [1, 2]
+        assert [(r.article_id, i) for r, i, _ in ranked_rows(ranked)] == [("high", 1), ("low", 2)]
+
+    @given(tied_reports)
+    def test_matches_the_reference_ranking(self, reports):
+        ranked = rank(reports)
+        expected = reference_rank(reports)
+        assert isinstance(ranked, Ranking) and len(ranked) == len(reports)
+        assert [r.article_id for r in ranked] == [e.report.article_id for e in expected]
+        assert all(r is e.report for r, e in zip(ranked, expected))
+        assert [(i, c) for _, i, c in ranked_rows(ranked)] == \
+            [(e.rank_i3, e.rank_citations) for e in expected]
+        by_id = {e.report.article_id: (e.rank_i3, e.rank_citations) for e in expected}
+        assert assign_ranks(reports) == [by_id[r.article_id] for r in reports]
 
     def test_empty_input(self):
         assert rank([]) == []
@@ -78,8 +126,8 @@ class TestRank:
                           citations=rng.randrange(100))
                    for k in range(100)]
         ranked = rank(reports)
-        assert sorted(r.rank_i3 for r in ranked) == list(range(1, 101))
-        assert sorted(r.rank_citations for r in ranked) == list(range(1, 101))
+        assert sorted(i for _, i, _ in ranked_rows(ranked)) == list(range(1, 101))
+        assert sorted(ranked.rank_citations) == list(range(1, 101))
 
     def test_order_matches_descending_mass_within_category(self):
         rng = random.Random(12)
@@ -97,12 +145,12 @@ class TestRank:
         shuffled = reports[:]
         rng.shuffle(shuffled)
         assert rank(reports) == rank(shuffled)
+        assert rank(reports).rank_citations == rank(shuffled).rank_citations
 
     def test_assign_ranks_preserves_input_order(self):
         reports = [report("x", 10.0), report("y", 20.0)]
-        with_ranks = assign_ranks(reports)
-        assert [r.article_id for r in with_ranks] == ["x", "y"]
-        assert [r.rank_i3 for r in with_ranks] == [2, 1]
+        # (rank_i3, rank_citations) per report; the counts tie, so ids decide the latter.
+        assert assign_ranks(reports) == [(2, 1), (1, 2)]
 
     def test_cross_category_ranking_is_permitted(self):
         mixed = [report("a", 100.0, beta=0.002, category="small", phi=53),
@@ -140,7 +188,9 @@ a-1,cite,2017-06-01
         assert [r.article_id for r in reports] == ["a-1", "a-2"]
         assert reports[0].f_score == 10.0
         assert reports[0].citation_count == 2
-        assert reports[0].rank_i3 is None
+        assert [line[-2:] for line in reports_to_csv(reports).splitlines()[1:]] == [",,", ",,"]
+        assert [(obj["rank_i3"], obj["rank_citations"])
+                for obj in json.loads(reports_to_json(reports))] == [(None, None)] * 2
         assert reports[1].f_score == 2.0
 
     def test_respects_request_order(self):
@@ -315,5 +365,5 @@ class TestSerialization:
         assert all(len(row) == len(REPORT_HEADER) for row in table)
         summary = matthew_to_csv(matthew_comparison(ranked))
         table = list(csv.reader(io.StringIO(summary, newline="")))
-        assert table[2:] == [[r.article_id, str(r.rank_i3), str(r.rank_citations),
-                              str(r.rank_citations - r.rank_i3)] for r in ranked]
+        assert table[2:] == [[r.article_id, str(i), str(c), str(c - i)]
+                             for i, (r, c) in enumerate(zip(ranked, ranked.rank_citations), 1)]
