@@ -2,17 +2,21 @@
 
 The digests were recorded before the ranking and Matthew-summary code
 was reshaped, the ``dynamics`` ones before article resolution moved
-into ``f_score`` alone; any change to a printed byte (row order, float
-formatting, key order, quoting) fails here.  ``bench/golden.json``
-holds the same kind of guard for the benchmark corpora.
+into ``f_score`` alone, and the ``gen`` and ``dump_catalog`` files
+before the CSV reader and writer moved into ``formats.py``; any change
+to a printed or written byte (row order, float formatting, key order,
+quoting) fails here.  ``bench/golden.json`` holds the same kind of
+guard for the benchmark corpora.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 
 import pytest
 
+from i3metrics.catalog import dump_catalog, load_catalog
 from i3metrics.cli import main
 
 COMMANDS = {
@@ -48,16 +52,29 @@ COMMANDS = {
     ),
 }
 
+FILES = {
+    "articles.csv": "e90c1f2e0914592c12a01602b9c45cd0b79bce4bbc978ece00dc71e6e3210667",
+    "catalog.csv": "9427834916e66547a4144007bdfe953665a1456269844fe8e7dfcfeb22621237",
+    "citations.csv": "045f8d4e2e3b4416684bfaaa40e7b24efb98595bbb2a20110707555193b38d82",
+}
+
+DUMPED_CATALOG = "9fee7abcd6ff3e4d006973dac911ed68e05ca740bf34b7f099bbbcb78ef8bc5a"
+
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
+def gen_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("gen")
     code = main(["gen", "--articles", "2000", "--categories", "20",
                  "--seed", "5", "--out", str(out)])
     assert code == 0
-    return ["--catalog", str(out / "catalog.csv"),
-            "--articles", str(out / "articles.csv"),
-            "--citations", str(out / "citations.csv")]
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus(gen_dir):
+    return ["--catalog", str(gen_dir / "catalog.csv"),
+            "--articles", str(gen_dir / "articles.csv"),
+            "--citations", str(gen_dir / "citations.csv")]
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -68,3 +85,16 @@ def test_stdout_bytes_are_unchanged(capsys, corpus, name):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_generated_file_bytes_are_unchanged(gen_dir, name):
+    assert hashlib.sha256((gen_dir / name).read_bytes()).hexdigest() == FILES[name]
+
+
+def test_dumped_catalog_bytes_are_unchanged(gen_dir):
+    with open(gen_dir / "catalog.csv", encoding="utf-8", newline="") as stream:
+        catalog = load_catalog(stream)
+    out = io.StringIO()
+    dump_catalog(catalog, out)
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == DUMPED_CATALOG
