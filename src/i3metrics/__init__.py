@@ -48,7 +48,6 @@ from .ledger import (
 from .ranking import (
     MatthewSummary,
     PercentileTable,
-    RankDisplacement,
     Ranking,
     ScoreReport,
     assign_ranks,
@@ -96,7 +95,6 @@ __all__ = [
     "Ranking",
     "PercentileTable",
     "MatthewSummary",
-    "RankDisplacement",
     "score_articles",
     "assign_ranks",
     "rank",

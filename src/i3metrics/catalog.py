@@ -14,16 +14,16 @@ a join key.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO
 
 from .core import compute_beta
 from .errors import InputError, ResolutionError
+from .formats import csv_field, read_csv, write_csv
 
 __all__ = [
     "JournalRecord",
@@ -116,12 +116,10 @@ class Catalog:
 
 def load_catalog(stream: IO[str], source: str = "catalog") -> Catalog:
     """Parse and validate a catalog CSV; see the module docstring for rules."""
-    reader = csv.reader(stream)
-    _expect_header(reader, CATALOG_HEADER, source)
-
     journals: dict[str, JournalRecord] = {}
-    for lineno, row in _data_rows(reader, len(CATALOG_HEADER), source):
-        category, name, issn_raw, year_raw, if_raw = (_field(cell, source, lineno) for cell in row)
+    for lineno, row in read_csv(stream, CATALOG_HEADER, source):
+        category, name, issn_raw, year_raw, if_raw = (csv_field(cell, source, lineno)
+                                                      for cell in row)
         if not category:
             raise InputError(f"{source} line {lineno}: empty category")
         if not name:
@@ -165,15 +163,14 @@ def load_catalog(stream: IO[str], source: str = "catalog") -> Catalog:
 
 def dump_catalog(catalog: Catalog, stream: IO[str]) -> None:
     """Serialize back to the load format; load(dump(c)) equals ``c``."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CATALOG_HEADER)
+    write_csv(stream, [CATALOG_HEADER])
     for key in sorted(catalog.journals, key=lambda k: (catalog.journals[k].category, k)):
         record = catalog.journals[key]
-        for year in sorted(record.if_history):
-            writer.writerow(
-                [record.category, record.name, record.issn or "",
-                 year, repr(record.if_history[year])]
-            )
+        write_csv(stream, (
+            [record.category, record.name, record.issn or "",
+             year, repr(record.if_history[year])]
+            for year in sorted(record.if_history)
+        ))
 
 
 @dataclass(frozen=True)
@@ -220,48 +217,6 @@ def _mean(values: list[float]) -> float:
         return total / len(values)
     top = max(values)
     return top * (sum(value / top for value in values) / len(values))
-
-
-def _expect_header(reader: Iterable[list[str]], expected: list[str], source: str) -> None:
-    try:
-        header = next(iter(reader))
-    except StopIteration:
-        raise InputError(f"{source}: empty file, expected header {','.join(expected)}") from None
-    if [cell.strip() for cell in header] != expected:
-        raise InputError(
-            f"{source} line 1: expected header {','.join(expected)}, "
-            f"got {','.join(header)}"
-        )
-
-
-def _data_rows(reader, width: int, source: str):
-    """Yield (lineno, row) pairs, skipping blank lines, checking arity.
-
-    ``lineno`` is the physical line a record starts on, counted by the
-    reader, so it stays right after a quoted cell that spans lines.
-    """
-    end = reader.line_num
-    for row in reader:
-        lineno, end = end + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != width:
-            raise InputError(
-                f"{source} line {lineno}: expected {width} fields, got {len(row)}"
-            )
-        yield lineno, row
-
-
-def _field(raw: str, source: str, lineno: int) -> str:
-    """A cell trimmed of surrounding whitespace.
-
-    A carriage return anywhere in it is refused here, where the line
-    number is known: the CSV output could not print it back (the
-    standard writer leaves it unquoted, which splits the row).
-    """
-    if "\r" in raw:
-        raise InputError(f"{source} line {lineno}: field {raw!r} contains a carriage return")
-    return raw.strip()
 
 
 def _parse_year(raw: str, source: str, lineno: int) -> int:

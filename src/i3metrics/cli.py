@@ -151,9 +151,8 @@ def _cmd_score(args) -> str:
         raise InputError("pass explicit article ids or --all, not both")
     check_as_of(args.as_of)
     catalog, ledger = _load_inputs(args)
-    ids = list(ledger.articles) if args.all else list(args.ids)
-    reports = score_articles(ledger, catalog, ids, if_mode=args.if_mode,
-                             as_of=args.as_of, fallback_if=args.fallback_if)
+    reports = score_articles(ledger, catalog, None if args.all else args.ids,
+                             if_mode=args.if_mode, as_of=args.as_of, fallback_if=args.fallback_if)
     if args.format == "json":
         return reports_to_json(reports)
     return reports_to_csv(reports)

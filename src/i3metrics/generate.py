@@ -15,10 +15,14 @@ near that value.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import random
+from itertools import chain
 from pathlib import Path
+
+from .catalog import CATALOG_HEADER
+from .formats import write_csv
+from .ledger import ARTICLES_HEADER, CITATIONS_HEADER
 
 __all__ = ["generate_corpus"]
 
@@ -81,16 +85,13 @@ def generate_corpus(
             cited = published + dt.timedelta(days=rng.randint(1, horizon))
             citation_rows.append([article_id, rng.choice(journal_names), cited.isoformat()])
 
-    catalog_path = out_dir / "catalog.csv"
-    articles_path = out_dir / "articles.csv"
-    citations_path = out_dir / "citations.csv"
-    _write_csv(catalog_path, ["category", "journal", "issn", "year", "impact_factor"],
-               catalog_rows)
-    _write_csv(articles_path, ["article_id", "journal", "publication_date"],
-               article_rows)
-    _write_csv(citations_path, ["article_id", "citing_journal", "citation_date"],
-               citation_rows)
-    return catalog_path, articles_path, citations_path
+    files = (("catalog.csv", CATALOG_HEADER, catalog_rows),
+             ("articles.csv", ARTICLES_HEADER, article_rows),
+             ("citations.csv", CITATIONS_HEADER, citation_rows))
+    for name, header, rows in files:
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as handle:
+            write_csv(handle, chain([header], rows))
+    return tuple(out_dir / name for name, _, _ in files)
 
 
 def _issn(rng: random.Random) -> str:
@@ -101,9 +102,3 @@ def _issn(rng: random.Random) -> str:
     body = "".join(str(d) for d in digits)
     return f"{body[:4]}-{body[4:]}{'X' if check == 10 else check}"
 
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)

@@ -33,7 +33,6 @@ place an id is resolved to its record, window and publishing journal.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 import re
@@ -44,8 +43,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import IO, Sequence
 
-from .catalog import Catalog, _data_rows, _expect_header, _field, canonical_name
+from .catalog import Catalog, canonical_name
 from .errors import InputError, ResolutionError
+from .formats import csv_field, read_csv
 
 __all__ = [
     "ArticleRecord",
@@ -75,9 +75,11 @@ _DAY_SPAN = dt.date.max.toordinal() + 1
 
 @dataclass(frozen=True, slots=True)
 class ArticleRecord:
-    id: str
+    """One article; its id is the key it is stored under."""
+
     journal: str
     publication_date: dt.date
+    position: int  # its citations are rows offsets[position]:offsets[position + 1]
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class Ledger:
     """Validated articles and their citations, immutable after load.
 
     The citations are stored once, as parallel columns shared by all
-    articles: those of the article at position ``i`` in ``articles``
+    articles: those of the article whose record has ``position`` ``i``
     are the rows ``offsets[i]:offsets[i + 1]``, sorted by date, then
     canonical citing name, file order kept on ties.  Per row, ``days``
     holds the date ordinal, ``spelled`` the index of the citing
@@ -104,7 +106,6 @@ class Ledger:
     """
 
     articles: dict[str, ArticleRecord]
-    positions: dict[str, int]
     offsets: array
     days: array
     spelled: array
@@ -120,18 +121,18 @@ class Ledger:
 
     def events(self, article_id: str) -> list[CitationEvent]:
         """Citations of one article, built on each call (not a hot path)."""
-        i = self.positions.get(article_id)
-        if i is None:
+        article = self.articles.get(article_id)
+        if article is None:
             return []
-        rows = range(self.offsets[i], self.offsets[i + 1])
+        rows = range(self.offsets[article.position], self.offsets[article.position + 1])
         return [CitationEvent(self.spellings[self.spelled[r]], dt.date.fromordinal(self.days[r]))
                 for r in rows]
 
     @property
     def citations(self) -> dict[str, list[CitationEvent]]:
         """Citations of every cited article, built on each access (not a hot path)."""
-        return {a: self.events(a) for a, i in self.positions.items()
-                if self.offsets[i] < self.offsets[i + 1]}
+        return {a: self.events(a) for a, article in self.articles.items()
+                if self.offsets[article.position] < self.offsets[article.position + 1]}
 
 
 def load_ledger(
@@ -151,10 +152,8 @@ def load_ledger(
     articles: dict[str, ArticleRecord] = {}
     journals: dict[str, str] = {}
     dates: dict[str, dt.date] = {}
-    reader = csv.reader(articles_stream)
-    _expect_header(reader, ARTICLES_HEADER, articles_source)
-    for lineno, row in _data_rows(reader, 3, articles_source):
-        article_id, journal, date_raw = (_field(cell, articles_source, lineno) for cell in row)
+    for lineno, row in read_csv(articles_stream, ARTICLES_HEADER, articles_source):
+        article_id, journal, date_raw = (csv_field(cell, articles_source, lineno) for cell in row)
         if not article_id:
             raise InputError(f"{articles_source} line {lineno}: empty article id")
         if not journal:
@@ -167,10 +166,8 @@ def load_ledger(
         if published is None:
             published = dates[date_raw] = _parse_date(date_raw, articles_source, lineno)
         journal = journals.setdefault(journal, journal)  # one string per spelling
-        articles[article_id] = ArticleRecord(article_id, journal, published)
+        articles[article_id] = ArticleRecord(journal, published, len(articles))
 
-    ids = list(articles)
-    positions = {article_id: i for i, article_id in enumerate(ids)}
     publication_days = [article.publication_date.toordinal() for article in articles.values()]
     # Keyed by the raw cell, so the common case costs one dict lookup per
     # cell; a spelling's trimmed form maps to the same id as its raw form.
@@ -178,18 +175,18 @@ def load_ledger(
     spellings: list[str] = []
     ordinals: dict[str, int] = {}
     row_article, row_day, row_spelling = [], [], []  # per row, in file order
-    reader = csv.reader(citations_stream)
-    _expect_header(reader, CITATIONS_HEADER, citations_source)
-    for lineno, (id_raw, journal_raw, date_raw) in _data_rows(reader, 3, citations_source):
-        i = positions.get(id_raw)
-        if i is None:
-            article_id = _field(id_raw, citations_source, lineno)
-            i = positions.get(article_id)
-            if i is None:
+    rows = read_csv(citations_stream, CITATIONS_HEADER, citations_source)
+    for lineno, (article_id, journal_raw, date_raw) in rows:
+        article = articles.get(article_id)
+        if article is None:  # try the trimmed cell, refusing a carriage return
+            article_id = csv_field(article_id, citations_source, lineno)
+            article = articles.get(article_id)
+            if article is None:
                 raise InputError(
                     f"{citations_source} line {lineno}: citation of unknown "
                     f"article {article_id!r}"
                 )
+        i = article.position
         s = spelling_ids.get(journal_raw)
         if s is None:
             s = spelling_ids[journal_raw] = _intern_spelling(
@@ -197,13 +194,13 @@ def load_ledger(
         cited = ordinals.get(date_raw)
         if cited is None:
             cited = ordinals[date_raw] = _parse_date(
-                _field(date_raw, citations_source, lineno), citations_source, lineno
+                csv_field(date_raw, citations_source, lineno), citations_source, lineno
             ).toordinal()
         if cited < publication_days[i]:
             raise InputError(
                 f"{citations_source} line {lineno}: citation dated "
-                f"{dt.date.fromordinal(cited)} precedes publication of {ids[i]!r} "
-                f"({articles[ids[i]].publication_date})"
+                f"{dt.date.fromordinal(cited)} precedes publication of {article_id!r} "
+                f"({article.publication_date})"
             )
         row_article.append(i)
         row_day.append(cited)
@@ -224,8 +221,8 @@ def load_ledger(
     years = {d: dt.date.fromordinal(d).year for d in set(ordinals.values())}
     groups = array("q", [spelling_rank[s] * _YEAR_SPAN + years[d] for s, d in zip(spelled, days)])
     per_article = Counter(row_article)
-    offsets = array("q", accumulate((per_article[i] for i in range(len(ids))), initial=0))
-    return Ledger(articles, positions, offsets, days, spelled, groups, spellings, names)
+    offsets = array("q", accumulate((per_article[i] for i in range(len(articles))), initial=0))
+    return Ledger(articles, offsets, days, spelled, groups, spellings, names)
 
 
 def shift_years(day: dt.date, years: int) -> dt.date:
@@ -381,8 +378,7 @@ def _window(
     """The article and the rows of its citations up to ``as_of`` years after publication."""
     check_as_of(as_of)
     article = ledger.article(article_id)
-    i = ledger.positions[article_id]
-    start, stop = ledger.offsets[i], ledger.offsets[i + 1]
+    start, stop = ledger.offsets[article.position], ledger.offsets[article.position + 1]
     if as_of is not None:
         if article.publication_date.year + as_of > dt.MAXYEAR:
             raise ValueError(
@@ -413,7 +409,7 @@ def _uncatalogued(ledger: Ledger, start: int, stop: int, ranks: list[int]) -> Re
 def _intern_spelling(raw: str, ids: dict[str, int], spellings: list[str],
                      source: str, lineno: int) -> int:
     """Id of the trimmed display spelling of a citing-journal cell."""
-    name = _field(raw, source, lineno)
+    name = csv_field(raw, source, lineno)
     if not name:
         raise InputError(f"{source} line {lineno}: empty citing journal")
     s = ids.get(name)

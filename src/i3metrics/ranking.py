@@ -31,7 +31,6 @@ __all__ = [
     "Ranking",
     "PercentileTable",
     "MatthewSummary",
-    "RankDisplacement",
     "PERCENTILE_LEVELS",
     "score_articles",
     "assign_ranks",
@@ -180,30 +179,18 @@ def percentile_table(reports: Sequence[ScoreReport], category: str) -> Percentil
 
 
 @dataclass(frozen=True)
-class RankDisplacement:
-    article_id: str
-    rank_i3: int
-    rank_citations: int
-    displacement: int  # positive: the index ranks it better than raw counts
-
-
-@dataclass(frozen=True)
 class MatthewSummary:
     ranked: Ranking  # the output of rank(), best first
     improved: int  # articles strictly better ranked by index than by counts
-
-    @property
-    def displacements(self) -> list[RankDisplacement]:
-        """One displacement per ranked article, built on each access."""
-        return [RankDisplacement(*row) for row in _matthew_rows(self.ranked)]
 
 
 def matthew_comparison(ranked: Ranking) -> MatthewSummary:
     """Contrast index ranking with citation-count ranking.
 
     ``ranked`` is the output of :func:`rank`; only its rank columns are
-    read, and displacements keep its best-first order.
-    ``displacement`` is citation rank minus index rank per article (the
+    read.  :func:`matthew_to_csv` and :func:`matthew_to_obj` list one
+    row per article in its best-first order, where ``displacement`` is
+    citation rank minus index rank (the
     displacements of a report always sum to zero); ``improved`` counts
     articles the index ranks strictly better than raw counts do.
     """

@@ -790,9 +790,21 @@ class TestErrorOrder:
         (["dynamics", "X", "--years", "5,1"], "years must be strictly ascending, got [5, 1]"),
         (["dynamics", "X", "--years", "0,5"], "years must be positive integers, got [0, 5]"),
         (["dynamics", "X", "--years", ","], "years must not be empty"),
+        (["dynamics", "X", "--years", "1,1"], "years must be strictly ascending, got [1, 1]"),
+        (["score", "--as-of", "1.5"], "argument --as-of: invalid int value: '1.5'"),
+        (["rank", "--as-of", "1.5"], "argument --as-of: invalid int value: '1.5'"),
+    ] + [
+        ([*command, "--fallback-if", value],
+         f"argument --fallback-if: must be finite and non-negative, got {value!r}")
+        for command in (["score"], ["rank"], ["dynamics", "X"])
+        for value in ("inf", "nan", "-1")
     ], ids=["score-all-with-ids", "dynamics-years", "score-negative-as-of",
             "rank-negative-as-of", "dynamics-years-descending", "dynamics-years-zero",
-            "dynamics-years-empty"])
+            "dynamics-years-empty", "dynamics-years-repeated", "score-fractional-as-of",
+            "rank-fractional-as-of"] + [
+        f"{command}-fallback-if-{value}"
+        for command in ("score", "rank", "dynamics") for value in ("inf", "nan", "-1")
+    ])
     def test_flag_errors_before_reading_files(self, capsys, data, tmp_path, argv, message):
         corpus = list(data)
         corpus[3] = str(tmp_path / "absent.csv")  # --articles

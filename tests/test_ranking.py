@@ -24,6 +24,7 @@ from i3metrics.ranking import (
     assign_ranks,
     matthew_comparison,
     matthew_to_csv,
+    matthew_to_obj,
     percentile_table,
     percentile_table_to_csv,
     rank,
@@ -277,18 +278,18 @@ class TestMatthewComparison:
                    for k in range(10)]
         summary = matthew_comparison(rank(reports))
         assert summary.improved == 0
-        assert all(d.displacement == 0 for d in summary.displacements)
+        assert all(d["displacement"] == 0 for d in matthew_to_obj(summary)["displacements"])
 
     def test_high_impact_citations_beat_raw_counts(self):
         # 3 citations from IF-10 journals against 30 from IF-0.1 ones.
         selective = report("selective", 2.0 + 3 * 10.0, citations=3)
         prolific = report("prolific", 2.0 + 30 * 0.1, citations=30)
         summary = matthew_comparison(rank([prolific, selective]))
-        by_id = {d.article_id: d for d in summary.displacements}
-        assert by_id["selective"].rank_i3 == 1
-        assert by_id["selective"].rank_citations == 2
-        assert by_id["selective"].displacement == 1
-        assert by_id["prolific"].displacement == -1
+        by_id = {d["article_id"]: d for d in matthew_to_obj(summary)["displacements"]}
+        assert by_id["selective"]["rank_i3"] == 1
+        assert by_id["selective"]["rank_citations"] == 2
+        assert by_id["selective"]["displacement"] == 1
+        assert by_id["prolific"]["displacement"] == -1
         assert summary.improved == 1
 
     def test_displacements_listed_by_index_rank(self):
@@ -297,7 +298,8 @@ class TestMatthewComparison:
                           citations=rng.randrange(200))
                    for k in range(30)]
         summary = matthew_comparison(rank(reports))
-        assert [d.rank_i3 for d in summary.displacements] == list(range(1, 31))
+        displacements = matthew_to_obj(summary)["displacements"]
+        assert [d["rank_i3"] for d in displacements] == list(range(1, 31))
 
     @given(st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=5000.0),
@@ -307,7 +309,7 @@ class TestMatthewComparison:
         reports = [report(f"a-{k:03d}", f, citations=count)
                    for k, (f, count) in enumerate(rows)]
         summary = matthew_comparison(rank(reports))
-        assert sum(d.displacement for d in summary.displacements) == 0
+        assert sum(d["displacement"] for d in matthew_to_obj(summary)["displacements"]) == 0
 
     def test_needs_two_articles(self):
         with pytest.raises(InputError, match="at least 2"):
