@@ -358,6 +358,8 @@ class TestRank:
     @pytest.mark.parametrize("flag, row, line", [
         ("--catalog", 'bio,"Delta\rReview",,2010,1.0', 6),
         ("--articles", '"a\rb",Alpha Letters,2011-05-01', 4),
+        ("--articles", 'a-3,"Alpha Letters\r",2013-01-01', 4),
+        ("--articles", 'a-3,Beta Annals,"2011-05-01\r"', 4),
         ("--citations", 'a-1,"Beta\rAnnals",2012-01-01', 5),
     ])
     def test_carriage_return_in_a_field_is_refused(self, capsys, data, flag, row, line):
@@ -695,6 +697,16 @@ class TestErrorLines:
         code, out, err = run(capsys, "score", "--all", *data)
         assert code == 1 and out == ""
         assert f"{path} line 5: " in err and message in err
+
+    def test_a_repeated_malformed_date_names_its_first_line(self, capsys, data, tmp_path):
+        path = write(tmp_path / "articles.csv",
+                     "article_id,journal,publication_date\n"
+                     "a-1,Alpha Letters,2011-05-01\n"
+                     "a-2,Beta Annals,2011-13-01\n"
+                     "a-3,Beta Annals,2011-13-01\n")
+        code, out, err = run(capsys, "score", "--all", *data)
+        assert code == 1 and out == ""
+        assert f"{path} line 3: malformed date '2011-13-01'" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["score", "--all", "--as-of", "99999999999999999999"], "after year 9999"),

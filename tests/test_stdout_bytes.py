@@ -2,10 +2,11 @@
 
 The digests were recorded before the ranking and Matthew-summary code
 was reshaped, the ``dynamics`` ones before article resolution moved
-into ``f_score`` alone, and the ``gen`` and ``dump_catalog`` files
-before the CSV reader and writer moved into ``formats.py``; any change
-to a printed or written byte (row order, float formatting, key order,
-quoting) fails here.  ``bench/golden.json`` holds the same kind of
+into ``f_score`` alone, the ``gen`` and ``dump_catalog`` files before
+the CSV reader and writer moved into ``formats.py``, and the
+``--as-of`` rank and score ones before the articles loop parsed each
+distinct cell once; any change to a printed or written byte (row
+order, float formatting, key order, quoting) fails here.  ``bench/golden.json`` holds the same kind of
 guard for the benchmark corpora.
 """
 
@@ -31,6 +32,14 @@ COMMANDS = {
     "score-historical-as-of-json": (
         ["score", "--all", "--if-mode", "historical", "--as-of", "3", "--format", "json"],
         "31a79818314dccc09b56341f176502e5a955a6a8c21407307bb332d2627e83ed",
+    ),
+    "rank-matthew-historical-as-of-csv": (
+        ["rank", "--matthew", "--if-mode", "historical", "--as-of", "2"],
+        "af09ea3c1cf399d7464e31f93e2c75dea118c35d7df4414b1e0c57ef454f1239",
+    ),
+    "score-ids-as-of-csv": (
+        ["score", "a-00007", "a-00003", "a-00011", "--as-of", "1"],
+        "7d97ca0049a21f3182f3ab46bbb987da38589c36fb654f6d1138011714db9838",
     ),
     # a-00007 has 44 citations.  a-00003 has none and its journal's impact
     # factor fell after publication, so every row is flagged cr>1.
