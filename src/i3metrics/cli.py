@@ -18,14 +18,15 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .catalog import Catalog, catalog_stats, load_catalog
+from .catalog import CATALOG_HEADER, Catalog, catalog_stats, load_catalog
 from .core import compute_beta, solve_beta
 from .dynamics import check_years, curve_points, curve_family_to_csv, \
     dynamics_report, dynamics_to_csv, dynamics_to_json
 from .errors import InputError, ResolutionError
 from .formats import csv_text, fmt_beta, fmt_score
 from .generate import generate_corpus
-from .ledger import IF_MODES, Ledger, check_as_of, load_ledger
+from .ledger import ARTICLES_HEADER, CITATIONS_HEADER, IF_MODES, Ledger, check_as_of, \
+    load_ledger
 from .ranking import matthew_comparison, matthew_to_csv, matthew_to_obj, \
     rank, ranked_rows, report_to_obj, reports_to_csv, reports_to_json, score_articles
 
@@ -47,11 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     data = _Parser(add_help=False)
     data.add_argument("--catalog", required=True, metavar="PATH",
-                      help="journal catalog CSV (category,journal,issn,year,impact_factor)")
+                      help=f"journal catalog CSV ({','.join(CATALOG_HEADER)})")
     data.add_argument("--articles", required=True, metavar="PATH",
-                      help="articles CSV (article_id,journal,publication_date)")
+                      help=f"articles CSV ({','.join(ARTICLES_HEADER)})")
     data.add_argument("--citations", required=True, metavar="PATH",
-                      help="citations CSV (article_id,citing_journal,citation_date)")
+                      help=f"citations CSV ({','.join(CITATIONS_HEADER)})")
     data.add_argument("--fallback-if", type=_impact_factor, default=None, metavar="X",
                       help="impact factor assumed for citing journals missing "
                            "from the catalog (default: strict resolution)")

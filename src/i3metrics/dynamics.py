@@ -49,7 +49,7 @@ DYNAMICS_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DynamicsPoint:
     t: int
     f_t: float

@@ -73,7 +73,7 @@ _YEAR_SPAN = 10000
 _DAY_SPAN = dt.date.max.toordinal() + 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ArticleRecord:
     """One article; its id is the key it is stored under."""
 
@@ -92,7 +92,7 @@ class CitationEvent:
 
 @dataclass
 class Ledger:
-    """Validated articles and their citations, immutable after load.
+    """Validated articles and their citations, not modified after load.
 
     The citations are stored once, as parallel columns shared by all
     articles: those of the article whose record has ``position`` ``i``
@@ -146,14 +146,24 @@ def load_ledger(
     Rejected with the offending line number: duplicate article ids,
     citations of unknown articles, and citations dated before the
     cited article was published.  Citations come out sorted by date
-    (then citing journal) per article.  Each distinct date cell is
-    parsed, and each distinct citing spelling joined, only once.
+    (then citing journal) per article.  Each distinct journal and date
+    cell is checked and parsed, and each distinct citing spelling
+    joined, only once.
     """
     articles: dict[str, ArticleRecord] = {}
+    # Both keyed by the raw cell: a cell seen before has passed csv_field,
+    # and on a row of new cells the checks keep their order.
     journals: dict[str, str] = {}
     dates: dict[str, dt.date] = {}
-    for lineno, row in read_csv(articles_stream, ARTICLES_HEADER, articles_source):
-        article_id, journal, date_raw = (csv_field(cell, articles_source, lineno) for cell in row)
+    for lineno, (article_id, journal_raw, date_raw) in read_csv(
+            articles_stream, ARTICLES_HEADER, articles_source):
+        article_id = csv_field(article_id, articles_source, lineno)
+        journal = journals.get(journal_raw)
+        if journal is None:
+            journal = journals[journal_raw] = csv_field(journal_raw, articles_source, lineno)
+        published = dates.get(date_raw)
+        if published is None:
+            date_cell = csv_field(date_raw, articles_source, lineno)
         if not article_id:
             raise InputError(f"{articles_source} line {lineno}: empty article id")
         if not journal:
@@ -162,10 +172,8 @@ def load_ledger(
             raise InputError(
                 f"{articles_source} line {lineno}: duplicate article id {article_id!r}"
             )
-        published = dates.get(date_raw)
         if published is None:
-            published = dates[date_raw] = _parse_date(date_raw, articles_source, lineno)
-        journal = journals.setdefault(journal, journal)  # one string per spelling
+            published = dates[date_raw] = _parse_date(date_cell, articles_source, lineno)
         articles[article_id] = ArticleRecord(journal, published, len(articles))
 
     publication_days = [article.publication_date.toordinal() for article in articles.values()]
@@ -336,16 +344,17 @@ def _masses(
         for cutoff in cutoffs:
             article, start, stop = _window(ledger, article_id, cutoff)
             if not masses:
-                year = article.publication_date.year if historical else None
-                total = psi_a = catalog.impact_factor(article.journal, year)
+                publisher = catalog.journal(article.journal)
+                total = psi_a = (publisher.if_at(article.publication_date.year) if historical
+                                 else publisher.latest_if())
                 counted = start
             if stop > counted:
                 rows = ledger.groups[counted:stop]
                 keys = rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows)
                 if counted == start:
-                    groups = Counter(keys)
-                else:
-                    groups.update(keys)
+                    groups = {}
+                for key in keys:
+                    groups[key] = groups.get(key, 0) + 1
                 counted = stop
                 if fallback_if is None:
                     unknown = sorted({key // span for key in groups
@@ -376,8 +385,9 @@ def _window(
     ledger: Ledger, article_id: str, as_of: int | None
 ) -> tuple[ArticleRecord, int, int]:
     """The article and the rows of its citations up to ``as_of`` years after publication."""
-    check_as_of(as_of)
-    article = ledger.article(article_id)
+    if as_of is not None:
+        check_as_of(as_of)
+    article = ledger.articles.get(article_id) or ledger.article(article_id)  # raises if unknown
     start, stop = ledger.offsets[article.position], ledger.offsets[article.position + 1]
     if as_of is not None:
         if article.publication_date.year + as_of > dt.MAXYEAR:

@@ -58,7 +58,7 @@ PERCENTILE_LEVELS = (50, 75, 90, 95, 99)
 MIN_PERCENTILE_SAMPLE = 20
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ScoreReport:
     """One scored article; its ranks live in the :class:`Ranking` that holds it."""
 

@@ -665,6 +665,15 @@ class TestParsing:
         out, _ = capsys.readouterr()
         assert "score" in out and "calibrate" in out
 
+    def test_data_flag_help_names_the_file_headers(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["rank", "--help"])
+        out = " ".join(capsys.readouterr()[0].split())
+        for help_text in ("journal catalog CSV (category,journal,issn,year,impact_factor)",
+                          "articles CSV (article_id,journal,publication_date)",
+                          "citations CSV (article_id,citing_journal,citation_date)"):
+            assert help_text in out
+
 
 
 # -- error contract ----------------------------------------------------
