@@ -6,8 +6,9 @@ into ``f_score`` alone, the ``gen`` and ``dump_catalog`` files before
 the CSV reader and writer moved into ``formats.py``, and the
 ``--as-of`` rank and score ones before the articles loop parsed each
 distinct cell once; any change to a printed or written byte (row
-order, float formatting, key order, quoting) fails here.  ``bench/golden.json`` holds the same kind of
-guard for the benchmark corpora.
+order, float formatting, key order, quoting) fails here.
+``bench/golden.json`` holds the same kind of guard for the benchmark
+corpora.
 """
 
 from __future__ import annotations
