@@ -38,7 +38,7 @@ __all__ = [
 
 CATALOG_HEADER = ["category", "journal", "issn", "year", "impact_factor"]
 
-_ISSN_RE = re.compile(r"^\d{4}-\d{3}[\dX]$")
+_ISSN_RE = re.compile(r"^[0-9]{4}-[0-9]{3}[0-9X]$")
 
 
 def canonical_name(name: str) -> str:
@@ -101,17 +101,6 @@ class Catalog:
     def beta_for(self, category: str) -> float:
         """Category rate coefficient derived from the title count."""
         return compute_beta(self.phi(category))
-
-    def impact_factor(self, journal: str, year: int | None = None) -> float:
-        """Impact factor of ``journal``.
-
-        With ``year``, the entry for the latest history year at or
-        before it; without, the latest entry overall.
-        """
-        record = self.journal(journal)
-        if year is None:
-            return record.latest_if()
-        return record.if_at(year)
 
 
 def load_catalog(stream: IO[str], source: str = "catalog") -> Catalog:
@@ -199,8 +188,8 @@ def catalog_stats(catalog: Catalog) -> CatalogStats:
     per_category = [
         CategoryStats(
             category=category,
-            phi=len(members),
-            beta=compute_beta(len(members)),
+            phi=catalog.phi(category),
+            beta=catalog.beta_for(category),
             mean_if=_mean([catalog.journals[m].latest_if() for m in members]),
         )
         for category, members in sorted(catalog.categories.items())
@@ -220,14 +209,14 @@ def _mean(values: list[float]) -> float:
 
 
 def _parse_year(raw: str, source: str, lineno: int) -> int:
-    if not re.fullmatch(r"\d{4}", raw):
+    if not re.fullmatch(r"[0-9]{4}", raw):
         raise InputError(f"{source} line {lineno}: year must be a 4-digit integer, got {raw!r}")
     return int(raw)
 
 
 def _parse_impact_factor(raw: str, source: str, lineno: int) -> float:
     try:
-        if "_" in raw:
+        if "_" in raw or not raw.isascii():
             raise ValueError
         value = float(raw)
         if not math.isfinite(value):

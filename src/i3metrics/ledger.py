@@ -121,9 +121,7 @@ class Ledger:
 
     def events(self, article_id: str) -> list[CitationEvent]:
         """Citations of one article, built on each call (not a hot path)."""
-        article = self.articles.get(article_id)
-        if article is None:
-            return []
+        article = self.article(article_id)
         rows = range(self.offsets[article.position], self.offsets[article.position + 1])
         return [CitationEvent(self.spellings[self.spelled[r]], dt.date.fromordinal(self.days[r]))
                 for r in rows]
@@ -339,6 +337,7 @@ def _masses(
     # 10-25% slower with it.  Across anniversaries a key recurs per cutoff:
     # dynamics reports (trajectory) run about 40% slower without it.
     factors: dict[int, float] | None = {} if len(cutoffs) > 1 else None
+    groups: dict[int, int] = {}
     masses: list[float] = []
     try:
         for cutoff in cutoffs:
@@ -351,8 +350,6 @@ def _masses(
             if stop > counted:
                 rows = ledger.groups[counted:stop]
                 keys = rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows)
-                if counted == start:
-                    groups = {}
                 for key in keys:
                     groups[key] = groups.get(key, 0) + 1
                 counted = stop

@@ -21,7 +21,7 @@ from itertools import chain, count
 from typing import Sequence
 
 from .catalog import Catalog
-from .core import compute_beta, compute_i3, i3_auc
+from .core import compute_i3, i3_auc
 from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score
 from .ledger import Ledger, citation_count, f_score
@@ -105,8 +105,8 @@ def score_articles(
         journal = resolved.get(spelling)
         if journal is None:
             category = catalog.journal(spelling).category
-            phi = catalog.phi(category)
-            journal = resolved[spelling] = (category, phi, compute_beta(phi))
+            journal = resolved[spelling] = (category, catalog.phi(category),
+                                            catalog.beta_for(category))
         category, phi, beta = journal
         reports.append(ScoreReport(
             article_id, category, phi, beta, mass, compute_i3(mass, beta),

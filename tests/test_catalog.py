@@ -52,6 +52,13 @@ class TestLoading:
         text = BASIC + "cardiology,Heart Quarterly,8765-432X,2020,4.0\n"
         assert load(text).journal("Heart Quarterly").if_history == {2020: 4.0}
 
+    def test_issn_from_a_later_row_is_kept(self):
+        catalog = load(BASIC + "obstetrics,Perinatal Letters,2468-1357,2022,1.4\n")
+        assert catalog.journal("Perinatal Letters").issn == "2468-1357"
+        buffer = io.StringIO()
+        dump_catalog(catalog, buffer)
+        assert load(buffer.getvalue()) == catalog
+
 
 class TestLoadErrors:
     def test_wrong_header(self):
@@ -72,12 +79,12 @@ class TestLoadErrors:
         with pytest.raises(InputError, match="line 2: empty journal"):
             load(",".join(CATALOG_HEADER) + "\nc,,,2020,1.0\n")
 
-    @pytest.mark.parametrize("year", ["20", "201x", "-2020", "99999", ""])
+    @pytest.mark.parametrize("year", ["20", "201x", "-2020", "99999", "", "２０１９"])
     def test_malformed_year(self, year):
         with pytest.raises(InputError, match="4-digit"):
             load(",".join(CATALOG_HEADER) + f"\nc,j,,{year},1.0\n")
 
-    @pytest.mark.parametrize("impact", ["", "abc", "1_000", "inf", "nan"])
+    @pytest.mark.parametrize("impact", ["", "abc", "1_000", "inf", "nan", "１.５"])
     def test_malformed_impact_factor(self, impact):
         with pytest.raises(InputError, match="malformed impact factor"):
             load(",".join(CATALOG_HEADER) + f"\nc,j,,2020,{impact}\n")
@@ -86,7 +93,7 @@ class TestLoadErrors:
         with pytest.raises(InputError, match="must be >= 0"):
             load(",".join(CATALOG_HEADER) + "\nc,j,,2020,-1.5\n")
 
-    @pytest.mark.parametrize("issn", ["12345678", "1234_5678", "1234-567y"])
+    @pytest.mark.parametrize("issn", ["12345678", "1234_5678", "1234-567y", "１２３４-５６７９"])
     def test_malformed_issn(self, issn):
         with pytest.raises(InputError, match="malformed ISSN"):
             load(",".join(CATALOG_HEADER) + f"\nc,j,{issn},2020,1.0\n")
@@ -124,22 +131,22 @@ class TestLookups:
 
     def test_unknown_journal(self):
         with pytest.raises(ResolutionError, match="not in catalog"):
-            load(BASIC).impact_factor("Unknown Gazette")
+            load(BASIC).journal("Unknown Gazette")
 
     def test_latest_without_year(self):
-        assert load(BASIC).impact_factor("Journal of Maternal Medicine") == 3.1
+        assert load(BASIC).journal("Journal of Maternal Medicine").latest_if() == 3.1
 
     def test_year_lookup_carries_forward(self):
         catalog = load(BASIC)
-        lookup = catalog.impact_factor
-        assert lookup("Journal of Maternal Medicine", 2018) == 2.5
-        assert lookup("Journal of Maternal Medicine", 2020) == 2.5
-        assert lookup("Journal of Maternal Medicine", 2021) == 3.1
-        assert lookup("Journal of Maternal Medicine", 2030) == 3.1
+        lookup = catalog.journal("Journal of Maternal Medicine").if_at
+        assert lookup(2018) == 2.5
+        assert lookup(2020) == 2.5
+        assert lookup(2021) == 3.1
+        assert lookup(2030) == 3.1
 
     def test_year_before_history_is_unresolved(self):
         with pytest.raises(ResolutionError, match="history starts 2018"):
-            load(BASIC).impact_factor("Journal of Maternal Medicine", 2017)
+            load(BASIC).journal("Journal of Maternal Medicine").if_at(2017)
 
 
 class TestRoundTrip:
@@ -153,7 +160,7 @@ class TestRoundTrip:
         text = ",".join(CATALOG_HEADER) + "\nc,j,,2020,2.0000000000000004\n"
         buffer = io.StringIO()
         dump_catalog(load(text), buffer)
-        assert load(buffer.getvalue()).impact_factor("j") == 2.0000000000000004
+        assert load(buffer.getvalue()).journal("j").latest_if() == 2.0000000000000004
 
 
 class TestStats:

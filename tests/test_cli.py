@@ -546,6 +546,11 @@ class TestCurves:
         assert code == 1
         assert "--beta" in err
 
+    def test_empty_beta_list(self, capsys):
+        code, out, err = run(capsys, "curves", "--beta", ",")
+        assert (code, out) == (1, "")
+        assert err == "error: --beta expects at least one value\n"
+
     def test_nonpositive_beta(self, capsys):
         code, _, err = run(capsys, "curves", "--beta", "-0.5")
         assert code == 1
@@ -717,6 +722,17 @@ class TestErrorLines:
         assert code == 1 and out == ""
         assert f"{path} line 3: malformed date '2011-13-01'" in err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("articles.csv", ARTICLES + ",Alpha Letters,2011-05-01\n", "line 4: empty article id"),
+        ("articles.csv", ARTICLES + "a-3,,2011-05-01\n", "line 4: empty journal"),
+        ("citations.csv", CITATIONS + "a-1,,2012-01-01\n", "line 5: empty citing journal"),
+    ], ids=["article-id", "journal", "citing-journal"])
+    def test_empty_key_cells_are_refused(self, capsys, data, tmp_path, name, text, message):
+        path = write(tmp_path / name, text)
+        code, out, err = run(capsys, "score", "--all", *data)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} {message}\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["score", "--all", "--as-of", "99999999999999999999"], "after year 9999"),
         (["score", "--all", "--as-of", "9000"], "as_of 9000 ends the citation window of article 'a-1'"),
@@ -814,6 +830,7 @@ class TestErrorOrder:
         (["dynamics", "X", "--years", "1,1"], "years must be strictly ascending, got [1, 1]"),
         (["score", "--as-of", "1.5"], "argument --as-of: invalid int value: '1.5'"),
         (["rank", "--as-of", "1.5"], "argument --as-of: invalid int value: '1.5'"),
+        (["score", "--fallback-if", "abc"], "argument --fallback-if: expects a number, got 'abc'"),
     ] + [
         ([*command, "--fallback-if", value],
          f"argument --fallback-if: must be finite and non-negative, got {value!r}")
@@ -822,7 +839,7 @@ class TestErrorOrder:
     ], ids=["score-all-with-ids", "dynamics-years", "score-negative-as-of",
             "rank-negative-as-of", "dynamics-years-descending", "dynamics-years-zero",
             "dynamics-years-empty", "dynamics-years-repeated", "score-fractional-as-of",
-            "rank-fractional-as-of"] + [
+            "rank-fractional-as-of", "score-fallback-if-not-a-number"] + [
         f"{command}-fallback-if-{value}"
         for command in ("score", "rank", "dynamics") for value in ("inf", "nan", "-1")
     ])

@@ -222,6 +222,10 @@ class TestCrIntegral:
         with pytest.raises(ValueError, match="> 0"):
             cr_integral(0.0, 0.0, 0.002)
 
+    def test_underflowing_full_area_is_refused(self):
+        with pytest.raises(ValueError, match="underflows"):
+            cr_integral(0.0, 1e-300, 0.1)
+
 
 class TestCrSimple:
     def test_reference_ratio(self):
