@@ -23,7 +23,7 @@ from typing import IO
 
 from .core import compute_beta
 from .errors import InputError, ResolutionError
-from .formats import csv_field, read_csv, write_csv
+from .formats import ascii_float, csv_field, read_csv, write_csv
 
 __all__ = [
     "JournalRecord",
@@ -216,9 +216,7 @@ def _parse_year(raw: str, source: str, lineno: int) -> int:
 
 def _parse_impact_factor(raw: str, source: str, lineno: int) -> float:
     try:
-        if "_" in raw or not raw.isascii():
-            raise ValueError
-        value = float(raw)
+        value = ascii_float(raw)
         if not math.isfinite(value):
             raise ValueError
     except ValueError:

@@ -12,7 +12,6 @@ or an impact-factor year cannot be resolved against the catalog.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -23,7 +22,7 @@ from .core import compute_beta, solve_beta
 from .dynamics import check_years, curve_points, curve_family_to_csv, \
     dynamics_report, dynamics_to_csv, dynamics_to_json
 from .errors import InputError, ResolutionError
-from .formats import csv_text, fmt_beta, fmt_score
+from .formats import ascii_float, ascii_int, csv_text, fmt_beta, fmt_score, json_text
 from .generate import generate_corpus
 from .ledger import ARTICLES_HEADER, CITATIONS_HEADER, IF_MODES, Ledger, check_as_of, \
     load_ledger
@@ -63,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--if-mode", choices=list(IF_MODES), default="current",
                          help="impact factors as of the event year (historical) "
                               "or the newest available (current); default current")
-    scoring.add_argument("--as-of", type=int, default=None, metavar="YEARS",
+    scoring.add_argument("--as-of", type=ascii_int, default=None, metavar="YEARS",
                          help="count only citations within this many whole "
                               "years of each publication")
 
@@ -73,46 +72,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", parents=[data, scoring, fmt],
                              help="score the given articles (or --all)")
+    p_score.set_defaults(handler=_cmd_score)
     p_score.add_argument("ids", nargs="*", metavar="ARTICLE_ID")
     p_score.add_argument("--all", action="store_true",
                          help="score every article in the ledger")
 
     p_rank = sub.add_parser("rank", parents=[data, scoring, fmt],
                             help="rank every article, best first")
+    p_rank.set_defaults(handler=_cmd_rank)
     p_rank.add_argument("--matthew", action="store_true",
                         help="append the index-vs-citation-count divergence summary")
 
     p_dyn = sub.add_parser("dynamics", parents=[data, fmt],
                            help="index trajectory of one article over time")
+    p_dyn.set_defaults(handler=_cmd_dynamics)
     p_dyn.add_argument("article_id", metavar="ARTICLE_ID")
     p_dyn.add_argument("--years", default="1,5,10", metavar="Y1,Y2,..",
                        help="anniversaries to evaluate (default 1,5,10)")
 
     p_cal = sub.add_parser("calibrate",
                            help="print a category coefficient (9 significant digits)")
-    p_cal.add_argument("--target", type=float, default=None, metavar="P",
+    p_cal.set_defaults(handler=_cmd_calibrate)
+    p_cal.add_argument("--target", type=ascii_float, default=None, metavar="P",
                        help="index value the f-score below should map to")
-    p_cal.add_argument("--fscore", type=float, default=None, metavar="F",
+    p_cal.add_argument("--fscore", type=ascii_float, default=None, metavar="F",
                        help="f-score paired with --target")
-    p_cal.add_argument("--phi", type=int, default=None, metavar="N",
+    p_cal.add_argument("--phi", type=ascii_int, default=None, metavar="N",
                        help="derive the coefficient from a category size instead")
 
     p_cur = sub.add_parser("curves",
                            help="emit index-vs-f sample points as CSV")
+    p_cur.set_defaults(handler=_cmd_curves)
     p_cur.add_argument("--beta", required=True, metavar="B1,B2,..",
                        help="comma-separated category coefficients, one curve each")
-    p_cur.add_argument("--max-f", type=float, default=5000.0, metavar="F",
+    p_cur.add_argument("--max-f", type=ascii_float, default=5000.0, metavar="F",
                        help="upper end of the f range (default 5000)")
-    p_cur.add_argument("--samples", type=int, default=101, metavar="N",
+    p_cur.add_argument("--samples", type=ascii_int, default=101, metavar="N",
                        help="points per curve (default 101)")
 
     p_gen = sub.add_parser("gen",
                            help="write a reproducible synthetic corpus")
-    p_gen.add_argument("--articles", type=int, required=True, metavar="N",
+    p_gen.set_defaults(handler=_cmd_gen)
+    p_gen.add_argument("--articles", type=ascii_int, required=True, metavar="N",
                        dest="n_articles", help="number of articles")
-    p_gen.add_argument("--categories", type=int, required=True, metavar="K",
+    p_gen.add_argument("--categories", type=ascii_int, required=True, metavar="K",
                        dest="n_categories", help="number of categories")
-    p_gen.add_argument("--seed", type=int, required=True,
+    p_gen.add_argument("--seed", type=ascii_int, required=True,
                        help="generator seed (same seed, same bytes)")
     p_gen.add_argument("--out", required=True, metavar="DIR",
                        help="directory for catalog.csv, articles.csv, citations.csv")
@@ -120,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("catalog-stats", parents=[fmt],
                              help="per-category sizes, coefficients, and mean "
                                   "impact factors")
+    p_stats.set_defaults(handler=_cmd_catalog_stats)
     p_stats.add_argument("--catalog", required=True, metavar="PATH",
                          help="journal catalog CSV")
 
@@ -130,8 +136,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = _HANDLERS[args.command]
-        sys.stdout.write(handler(args))
+        sys.stdout.write(args.handler(args))
         return 0
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -150,26 +155,19 @@ def console() -> None:
 def _cmd_score(args) -> str:
     if args.all and args.ids:
         raise InputError("pass explicit article ids or --all, not both")
-    check_as_of(args.as_of)
-    catalog, ledger = _load_inputs(args)
-    reports = score_articles(ledger, catalog, None if args.all else args.ids,
-                             if_mode=args.if_mode, as_of=args.as_of, fallback_if=args.fallback_if)
+    reports = _score(args, None if args.all else args.ids)
     if args.format == "json":
         return reports_to_json(reports)
     return reports_to_csv(reports)
 
 
 def _cmd_rank(args) -> str:
-    check_as_of(args.as_of)
-    catalog, ledger = _load_inputs(args)
-    reports = score_articles(ledger, catalog, None, if_mode=args.if_mode,
-                             as_of=args.as_of, fallback_if=args.fallback_if)
-    ranked = rank(reports)
+    ranked = rank(_score(args, None))
     if args.format == "json":
         obj = {"ranking": [report_to_obj(*row) for row in ranked_rows(ranked)]}
         if args.matthew:
             obj["matthew"] = matthew_to_obj(matthew_comparison(ranked))
-        return json.dumps(obj, indent=2) + "\n"
+        return json_text(obj)
     text = reports_to_csv(ranked)
     if args.matthew:
         text += "\n" + matthew_to_csv(matthew_comparison(ranked))
@@ -177,7 +175,7 @@ def _cmd_rank(args) -> str:
 
 
 def _cmd_dynamics(args) -> str:
-    years = _parse_list(args.years, "--years", int, "integers")
+    years = _parse_list(args.years, "--years", ascii_int, "integers")
     check_years(years)
     catalog, ledger = _load_inputs(args)
     report = dynamics_report(ledger, catalog, args.article_id, years,
@@ -201,7 +199,7 @@ def _cmd_calibrate(args) -> str:
 
 
 def _cmd_curves(args) -> str:
-    betas = _parse_list(args.beta, "--beta", float, "numbers")
+    betas = _parse_list(args.beta, "--beta", ascii_float, "numbers")
     if not betas:
         raise InputError("--beta expects at least one value")
     curves = [(beta, curve_points(beta, args.max_f, args.samples))
@@ -219,24 +217,13 @@ def _cmd_catalog_stats(args) -> str:
     catalog = _read_catalog(args.catalog)
     stats = catalog_stats(catalog)
     if args.format == "json":
-        return json.dumps(asdict(stats), indent=2) + "\n"
+        return json_text(asdict(stats))
     rows = [("category", "phi", "beta", "mean_if")]
     rows += [(c.category, c.phi, fmt_beta(c.beta), fmt_score(c.mean_if))
              for c in stats.categories]
     rows += [("mean_phi", fmt_score(stats.mean_phi)),
              ("mean_if", fmt_score(stats.mean_if))]
     return csv_text(rows)
-
-
-_HANDLERS = {
-    "score": _cmd_score,
-    "rank": _cmd_rank,
-    "dynamics": _cmd_dynamics,
-    "calibrate": _cmd_calibrate,
-    "curves": _cmd_curves,
-    "gen": _cmd_gen,
-    "catalog-stats": _cmd_catalog_stats,
-}
 
 
 # -- plumbing ----------------------------------------------------------
@@ -248,13 +235,21 @@ _ENCODING = "utf-8-sig"
 def _impact_factor(raw: str) -> float:
     """argparse type for ``--fallback-if``: a finite number >= 0."""
     try:
-        value = float(raw)
+        value = ascii_float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects a number, got {raw!r}") from None
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be finite and non-negative, got {raw!r}")
     return value
+
+
+def _score(args, ids) -> list:
+    """Score reports for ``ids`` (every article when None) under the scoring flags."""
+    check_as_of(args.as_of)
+    catalog, ledger = _load_inputs(args)
+    return score_articles(ledger, catalog, ids, if_mode=args.if_mode, as_of=args.as_of,
+                          fallback_if=args.fallback_if)
 
 
 def _load_inputs(args) -> tuple[Catalog, Ledger]:

@@ -15,12 +15,13 @@ Articles whose full-history index is 0 have no distribution to take a
 fraction of, so their ratio columns are explicitly undefined (``None``
 in reports, ``NA`` in CSV) rather than 0/0.  Likewise the integral
 ratio is undefined when the full-history area underflows to 0.0,
-which a tiny but positive index (impact factors near 1e-200) allows.
+which a tiny but positive index (impact factors near 1e-200) allows,
+and either ratio is undefined when its quotient overflows, which a
+subnormal full-history index under a normal window index allows.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -28,7 +29,7 @@ from typing import Sequence
 from .catalog import Catalog
 from .core import compute_i3, i3_auc, i3_derivative
 from .errors import InputError
-from .formats import csv_text, fmt_beta, fmt_score
+from .formats import csv_text, fmt_beta, fmt_score, json_text
 from .ledger import Ledger, anniversary_masses, f_score
 
 __all__ = [
@@ -113,8 +114,8 @@ def dynamics_report(
             # Plain divisions rather than the bounds-checked ratio
             # helpers: the historical numerator may legitimately
             # exceed the present-day denominator (see module docstring).
-            ratio_simple = i3_t / i3_full
-            ratio_integral = i3_auc(f_t, beta) / auc_full if auc_full else None
+            ratio_simple = _finite(i3_t / i3_full)
+            ratio_integral = _finite(i3_auc(f_t, beta) / auc_full) if auc_full else None
         series.append(DynamicsPoint(t, f_t, i3_t, ratio_simple, ratio_integral))
 
     return DynamicsReport(article_id, beta, f_full, i3_full, series, auc_full,
@@ -195,7 +196,7 @@ def dynamics_to_json(report: DynamicsReport) -> str:
         "derivative_at_full": report.derivative_at_full,
         "series": [{**asdict(p), "exceeds_unity": p.exceeds_unity} for p in report.series],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return json_text(obj)
 
 
 def curve_family_to_csv(curves: Sequence[tuple[float, list[tuple[float, float]]]]) -> str:
@@ -215,3 +216,8 @@ def curve_family_to_csv(curves: Sequence[tuple[float, list[tuple[float, float]]]
 
 def _fmt_ratio(value: float | None) -> str:
     return "NA" if value is None else fmt_score(value)
+
+
+def _finite(ratio: float) -> float | None:
+    """``ratio``, or None where the division overflowed."""
+    return ratio if ratio < math.inf else None

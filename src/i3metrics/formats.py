@@ -1,4 +1,4 @@
-"""Fixed numeric formatting, and the one CSV reader and writer.
+"""Number formatting and grammar, the one CSV reader and writer, the one JSON writer.
 
 Scores print at 6 decimal places and rate coefficients at 9
 significant digits so golden-file comparisons are portable across
@@ -7,12 +7,14 @@ platforms.  JSON output keeps full double precision instead.
 Every CSV the package reads goes through :func:`read_csv`, and every
 CSV it writes through :func:`write_csv`: one header check, one row
 arity check, one line numbering, and one dialect (``\\n`` line ends).
+Every JSON document it writes goes through :func:`json_text`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -26,6 +28,24 @@ def fmt_score(x: float) -> str:
 def fmt_beta(x: float) -> str:
     """Rate coefficients: 9 significant digits."""
     return f"{x:.9g}"
+
+
+def _ascii(parse):
+    """``parse`` (``int`` or ``float``) refusing ``1_0`` and non-ASCII digits like ``１``.
+
+    ``-0`` reads as 0.  The parser keeps ``parse``'s name, which
+    argparse prints in its "invalid int value" errors.
+    """
+    def strict(raw: str):
+        if "_" in raw or not raw.isascii():
+            raise ValueError(f"invalid {parse.__name__} literal: {raw!r}")
+        return parse(raw) + 0
+    strict.__name__ = parse.__name__
+    return strict
+
+
+# The one number grammar of catalog cells and numeric flags.
+ascii_int, ascii_float = _ascii(int), _ascii(float)
 
 
 def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
@@ -88,3 +108,8 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     if "\r" in text:
         raise ValueError("cannot write a CSV field that contains a carriage return")
     return text
+
+
+def json_text(obj) -> str:
+    """``obj`` as indented JSON; ValueError on a non-finite number, which JSON cannot spell."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

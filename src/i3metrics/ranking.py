@@ -15,7 +15,6 @@ is the intended counterweight to rich-get-richer citation dynamics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Sequence
@@ -23,7 +22,7 @@ from typing import Sequence
 from .catalog import Catalog
 from .core import compute_i3, i3_auc
 from .errors import InputError
-from .formats import csv_text, fmt_beta, fmt_score
+from .formats import csv_text, fmt_beta, fmt_score, json_text
 from .ledger import Ledger, citation_count, f_score
 
 __all__ = [
@@ -232,7 +231,7 @@ def report_to_obj(r: ScoreReport, rank_i3: int | None = None,
 
 
 def reports_to_json(reports: Sequence[ScoreReport]) -> str:
-    return json.dumps([report_to_obj(*row) for row in ranked_rows(reports)], indent=2) + "\n"
+    return json_text([report_to_obj(*row) for row in ranked_rows(reports)])
 
 
 def percentile_table_to_csv(table: PercentileTable) -> str:

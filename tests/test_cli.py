@@ -295,6 +295,23 @@ class TestScore:
         assert code == 1
         assert "invalid choice" in err
 
+    def test_negative_zero_impact_factor_reads_as_zero(self, capsys, tmp_path):
+        corpus = ["--catalog", write(tmp_path / "catalog.csv",
+                                     "category,journal,issn,year,impact_factor\n"
+                                     "c,J,,2010,-0\n"),
+                  "--articles", write(tmp_path / "articles.csv",
+                                      "article_id,journal,publication_date\n"
+                                      "a,J,2011-01-01\n"),
+                  "--citations", write(tmp_path / "citations.csv",
+                                       "article_id,citing_journal,citation_date\n"
+                                       "a,J,2012-01-01\n")]
+        code, out, _ = run(capsys, "score", *corpus, "--all")
+        assert code == 0
+        assert csv_rows(out)[0]["f_score"] == "0.000000"
+        code, out, _ = run(capsys, "score", *corpus, "--all", "--format", "json")
+        assert code == 0
+        assert '"f_score": 0.0,' in out
+
     def test_fractional_as_of_rejected(self, capsys, data):
         code, _, err = run(capsys, "score", *data, "--all", "--as-of", "1.5")
         assert code == 1
@@ -452,6 +469,36 @@ class TestDynamics:
         obj = json.loads(out)
         assert obj["auc_full"] == 0.0 and obj["i3_full"] > 0.0
         assert [p["cr_integral"] for p in obj["series"]] == [None] * 3
+
+    @pytest.mark.parametrize("current_if, undefined", [
+        ("1e-320", ["cr_simple", "cr_integral"]),
+        ("1e-306", ["cr_integral"]),
+    ], ids=["subnormal-index", "subnormal-area"])
+    def test_ratio_undefined_when_quotient_overflows(self, capsys, tmp_path,
+                                                     current_if, undefined):
+        # The window uses the 2012 IF of 1.0, the full score the tiny
+        # current one, so dividing by the full-history value overflows.
+        corpus = ["--catalog", write(tmp_path / "catalog.csv",
+                                     "category,journal,issn,year,impact_factor\n"
+                                     f"c,J,,2010,1.0\nc,J,,2020,{current_if}\n"),
+                  "--articles", write(tmp_path / "articles.csv",
+                                      "article_id,journal,publication_date\n"
+                                      "a,J,2012-01-01\n"),
+                  "--citations", write(tmp_path / "citations.csv",
+                                       "article_id,citing_journal,citation_date\n"
+                                       "a,J,2012-06-01\n")]
+        code, out, err = run(capsys, "dynamics", *corpus, "a", "--years", "1")
+        assert (code, err) == (0, "")
+        [row] = csv_rows(out)
+        assert [name for name in ("cr_simple", "cr_integral") if row[name] == "NA"] == undefined
+        code, out, err = run(capsys, "dynamics", *corpus, "a", "--years", "1", "--format", "json")
+        assert (code, err) == (0, "")
+
+        def refuse(constant):
+            raise AssertionError(f"non-finite JSON number {constant}")
+
+        [point] = json.loads(out, parse_constant=refuse)["series"]
+        assert [name for name in ("cr_simple", "cr_integral") if point[name] is None] == undefined
 
 
 # -- calibrate ---------------------------------------------------------
@@ -679,6 +726,31 @@ class TestParsing:
                           "citations CSV (article_id,citing_journal,citation_date)"):
             assert help_text in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", "--phi", "1_0"], "argument --phi: invalid int value: '1_0'"),
+        (["calibrate", "--target", "0_5", "--fscore", "1"],
+         "argument --target: invalid float value: '0_5'"),
+        (["calibrate", "--target", "0.5", "--fscore", "\uff11"],
+         "argument --fscore: invalid float value: '\uff11'"),
+        (["curves", "--beta", "1_0"], "--beta expects comma-separated numbers, got '1_0'"),
+        (["curves", "--beta", "1", "--max-f", "\uff15"],
+         "argument --max-f: invalid float value: '\uff15'"),
+        (["curves", "--beta", "1", "--samples", "1_0"],
+         "argument --samples: invalid int value: '1_0'"),
+        (["gen", "--articles", "\u0663", "--categories", "1", "--seed", "1", "--out", "x"],
+         "argument --articles: invalid int value: '\u0663'"),
+        (["gen", "--articles", "3", "--categories", "1_0", "--seed", "1", "--out", "x"],
+         "argument --categories: invalid int value: '1_0'"),
+        (["gen", "--articles", "3", "--categories", "1", "--seed", "\uff11", "--out", "x"],
+         "argument --seed: invalid int value: '\uff11'"),
+    ], ids=["phi", "target", "fscore", "beta", "max-f", "samples", "articles", "categories",
+            "seed"])
+    def test_numeric_flags_take_ascii_digits_only(self, capsys, argv, message):
+        # The same grammar as catalog cells: no digit separators, no non-ASCII digits.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
 
 
 # -- error contract ----------------------------------------------------
@@ -836,13 +908,24 @@ class TestErrorOrder:
          f"argument --fallback-if: must be finite and non-negative, got {value!r}")
         for command in (["score"], ["rank"], ["dynamics", "X"])
         for value in ("inf", "nan", "-1")
+    ] + [
+        (["score", "--as-of", "1_0"], "argument --as-of: invalid int value: '1_0'"),
+        (["score", "--as-of", "\uff11"], "argument --as-of: invalid int value: '\uff11'"),
+        (["score", "--as-of", "\u0663"], "argument --as-of: invalid int value: '\u0663'"),
+        (["dynamics", "X", "--years", "1_0,\uff12\uff10"],
+         "--years expects comma-separated integers, got '1_0,\uff12\uff10'"),
+        (["score", "--fallback-if", "1_0"], "argument --fallback-if: expects a number, got '1_0'"),
+        (["score", "--fallback-if", "\uff11.\uff15"],
+         "argument --fallback-if: expects a number, got '\uff11.\uff15'"),
     ], ids=["score-all-with-ids", "dynamics-years", "score-negative-as-of",
             "rank-negative-as-of", "dynamics-years-descending", "dynamics-years-zero",
             "dynamics-years-empty", "dynamics-years-repeated", "score-fractional-as-of",
             "rank-fractional-as-of", "score-fallback-if-not-a-number"] + [
         f"{command}-fallback-if-{value}"
         for command in ("score", "rank", "dynamics") for value in ("inf", "nan", "-1")
-    ])
+    ] + ["score-as-of-separator", "score-as-of-full-width", "score-as-of-arabic-indic",
+         "dynamics-years-non-ascii", "score-fallback-if-separator",
+         "score-fallback-if-full-width"])
     def test_flag_errors_before_reading_files(self, capsys, data, tmp_path, argv, message):
         corpus = list(data)
         corpus[3] = str(tmp_path / "absent.csv")  # --articles
