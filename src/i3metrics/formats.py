@@ -2,7 +2,9 @@
 
 Scores print at 6 decimal places and rate coefficients at 9
 significant digits so golden-file comparisons are portable across
-platforms.  JSON output keeps full double precision instead.
+platforms; a score of magnitude 1e15 or more prints as JSON spells it
+(``9.010201290907242e+305``), not in hundreds of digits.  JSON output
+keeps full double precision instead.
 
 Every CSV the package reads goes through :func:`read_csv`, and every
 CSV it writes through :func:`write_csv`: one header check, one row
@@ -21,8 +23,8 @@ from .errors import InputError
 
 
 def fmt_score(x: float) -> str:
-    """Scores, masses, areas, ratios: fixed 6 decimal places."""
-    return f"{x:.6f}"
+    """Scores, masses, areas, ratios: 6 decimal places, or JSON's spelling from 1e15 up."""
+    return f"{x:.6f}" if abs(x) < 1e15 else repr(x)
 
 
 def fmt_beta(x: float) -> str:

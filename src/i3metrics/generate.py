@@ -48,15 +48,16 @@ def generate_corpus(
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
 
+    bits = rng.getrandbits
     catalog_rows = []
     journal_names = []
     for k in range(1, n_categories + 1):
         category = f"category-{k:02d}"
         pending_base = None
-        for j in range(1, rng.randint(8, 32) + 1):
+        for j in range(1, 8 + _below(bits, 25) + 1):
             name = f"journal-{k:02d}-{j:03d}"
             journal_names.append(name)
-            issn = _issn(rng)
+            issn = _issn(bits)
             # Antithetic pairs (u, 4 - u) pin the catalog mean IF at
             # 2.0 regardless of corpus size.
             if pending_base is None:
@@ -69,21 +70,25 @@ def generate_corpus(
                 factor = round(base + rng.uniform(-0.25, 0.25), 2)
                 catalog_rows.append([category, name, issn, year, f"{factor:.2f}"])
 
-    pub_span = (LAST_PUBLICATION - FIRST_PUBLICATION).days
+    # Dates are day offsets from FIRST_PUBLICATION, one ISO string per day.
+    days = [(FIRST_PUBLICATION + dt.timedelta(days=d)).isoformat()
+            for d in range((CITATION_HORIZON - FIRST_PUBLICATION).days + 1)]
+    pub_days = (LAST_PUBLICATION - FIRST_PUBLICATION).days + 1
+    n_journals = len(journal_names)
     article_rows = []
     citation_rows = []
     for i in range(1, n_articles + 1):
         article_id = f"a-{i:05d}"
-        journal = rng.choice(journal_names)
-        published = FIRST_PUBLICATION + dt.timedelta(days=rng.randint(0, pub_span))
-        article_rows.append([article_id, journal, published.isoformat()])
+        journal = journal_names[_below(bits, n_journals)]
+        published = _below(bits, pub_days)
+        article_rows.append([article_id, journal, days[published]])
         # Pareto-ish tail: most articles gather a handful of citations,
         # a few gather hundreds.
         count = min(int(rng.paretovariate(1.3)) - 1, MAX_CITATIONS_PER_ARTICLE)
-        horizon = (CITATION_HORIZON - published).days
+        horizon = len(days) - 1 - published
         for _ in range(count):
-            cited = published + dt.timedelta(days=rng.randint(1, horizon))
-            citation_rows.append([article_id, rng.choice(journal_names), cited.isoformat()])
+            cited = published + 1 + _below(bits, horizon)
+            citation_rows.append([article_id, journal_names[_below(bits, n_journals)], days[cited]])
 
     files = (("catalog.csv", CATALOG_HEADER, catalog_rows),
              ("articles.csv", ARTICLES_HEADER, article_rows),
@@ -94,11 +99,19 @@ def generate_corpus(
     return tuple(out_dir / name for name, _, _ in files)
 
 
-def _issn(rng: random.Random) -> str:
+def _below(getrandbits, n: int) -> int:
+    """``random.Random.randrange``'s draw from ``range(n)`` in one call: same value, same state."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _issn(getrandbits) -> str:
     """Random ISSN with a valid mod-11 check character."""
-    digits = [rng.randint(0, 9) for _ in range(7)]
+    digits = [_below(getrandbits, 10) for _ in range(7)]
     remainder = sum(d * w for d, w in zip(digits, range(8, 1, -1))) % 11
     check = (11 - remainder) % 11
     body = "".join(str(d) for d in digits)
     return f"{body[:4]}-{body[4:]}{'X' if check == 10 else check}"
-

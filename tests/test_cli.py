@@ -312,6 +312,25 @@ class TestScore:
         assert code == 0
         assert '"f_score": 0.0,' in out
 
+    def test_huge_mass_prints_as_json_spells_it(self, capsys, tmp_path):
+        # f = 2e300 is finite; at 6 decimals it would print 301 digits.
+        corpus = ["--catalog", write(tmp_path / "catalog.csv",
+                                     "category,journal,issn,year,impact_factor\n"
+                                     "bio,Alpha,,2010,1e300\n"),
+                  "--articles", write(tmp_path / "articles.csv",
+                                      "article_id,journal,publication_date\n"
+                                      "a,Alpha,2011-01-01\n"),
+                  "--citations", write(tmp_path / "citations.csv",
+                                       "article_id,citing_journal,citation_date\n"
+                                       "a,Alpha,2012-01-01\n")]
+        code, out, err = run(capsys, "score", *corpus, "a")
+        assert (code, err) == (0, "")
+        [row] = csv_rows(out)
+        assert (row["f_score"], row["i3"]) == ("2e+300", "1.000000")
+        code, out, _ = run(capsys, "score", *corpus, "a", "--format", "json")
+        assert code == 0
+        assert row["f_score"] == repr(json.loads(out)[0]["f_score"])
+
     def test_fractional_as_of_rejected(self, capsys, data):
         code, _, err = run(capsys, "score", *data, "--all", "--as-of", "1.5")
         assert code == 1
@@ -499,6 +518,10 @@ class TestDynamics:
 
         [point] = json.loads(out, parse_constant=refuse)["series"]
         assert [name for name in ("cr_simple", "cr_integral") if point[name] is None] == undefined
+        # A defined ratio this large prints in CSV as JSON spells it.
+        assert [row[name] for name in ("cr_simple", "cr_integral")] == \
+            ["NA" if point[name] is None else repr(point[name])
+             for name in ("cr_simple", "cr_integral")]
 
 
 # -- calibrate ---------------------------------------------------------
@@ -601,6 +624,12 @@ class TestCurves:
     def test_nonpositive_beta(self, capsys):
         code, _, err = run(capsys, "curves", "--beta", "-0.5")
         assert code == 1
+
+    def test_huge_max_f_prints_as_json_spells_it(self, capsys):
+        code, out, err = run(capsys, "curves", "--beta", "0.001",
+                             "--max-f", "1e300", "--samples", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["0.000000,0.000000", "1e+300,1.000000"]
 
     def test_infinite_max_f_names_f_max(self, capsys):
         code, out, err = run(capsys, "curves", "--beta", "0.001", "--max-f", "inf")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from i3metrics.formats import ascii_float, ascii_int, json_text
+from i3metrics.formats import ascii_float, ascii_int, fmt_score, json_text
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -29,3 +29,13 @@ def test_ascii_parsers_read_negative_zero_as_zero_and_keep_their_names():
     assert ascii_float(" 2.5 ") == 2.5 and ascii_int("-3") == -3
     # argparse names the type in "invalid int value" errors.
     assert (ascii_int.__name__, ascii_float.__name__) == ("int", "float")
+
+
+def test_fmt_score_switches_to_the_json_spelling_at_1e15():
+    below = math.nextafter(1e15, 0.0)
+    assert fmt_score(below) == "999999999999999.875000" == f"{below:.6f}"
+    assert fmt_score(-below) == "-999999999999999.875000"
+    assert fmt_score(1e15) == "1000000000000000.0" == repr(1e15)
+    assert fmt_score(-1e15) == "-1000000000000000.0"
+    assert fmt_score(9.010201290907242e+305) == "9.010201290907242e+305"
+    assert (fmt_score(0.5), fmt_score(-0.0)) == ("0.500000", "-0.000000")

@@ -1,11 +1,12 @@
 """Tests for the seeded synthetic corpus generator."""
 
 import hashlib
+import random
 
 import pytest
 
 from i3metrics.catalog import catalog_stats, load_catalog
-from i3metrics.generate import generate_corpus
+from i3metrics.generate import _below, generate_corpus
 from i3metrics.ledger import f_score, load_ledger
 
 
@@ -33,6 +34,56 @@ class TestDeterminism:
         first = generate_corpus(tmp_path / "one", 50, 3, seed=1)
         second = generate_corpus(tmp_path / "two", 50, 3, seed=2)
         assert [digest(p) for p in first] != [digest(p) for p in second]
+
+    # Recorded before the draws went through ``_below``.  The first
+    # corpus has three-digit category numbers, the second a pool of two
+    # categories' journals; tests/test_stdout_bytes.py pins a third.
+    @pytest.mark.parametrize("args, digests", [
+        ((1, 120, 0), [
+            "402cc1748802d046ecd65b39df84009e6b711d9a6c628ed2f0943b1933d72eb5",
+            "102e3b49a631b59f47d9c6aa31c84afee280097a9a469167748cfa0b5ad2355a",
+            "a7d11ca8f59b54b58a295bdc125a0e7f5af3888041892b1379f5225804d4fd6d",
+        ]),
+        ((3000, 2, 123), [
+            "52a49cd34327f444ed1dd3c8824b058e7092cb3c83b07af6c3fd8a100946979d",
+            "0f8a12f6e4bdfd5d2e75c312095304a0ac48a1decfa588477d85584db2d00336",
+            "ca68d49bf2abf846d5b86065a6c73f5e30cee78621301524c8f5576b2aeda9ea",
+        ]),
+    ], ids=["one-article-120-categories", "3000-articles-2-categories"])
+    def test_file_bytes_are_unchanged(self, tmp_path, args, digests):
+        assert [digest(p) for p in generate_corpus(tmp_path, *args)] == digests
+
+
+class TestDrawRule:
+    # The generator draws every integer through ``_below``.  If a Python
+    # release changes ``randrange``'s rule, these fail and name the cause
+    # before the byte pins fail without one.
+    SIZES = [1, 2, 3, 7, 8, 9, 25, 1024, 1025, 4748, 10**6 + 3, 2**40 + 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 123])
+    def test_below_is_randrange(self, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for n in self.SIZES:
+            drawn = [_below(ours.getrandbits, n) for _ in range(50)]
+            assert drawn == [stdlib.randrange(n) for _ in range(50)], n
+            assert ours.getstate() == stdlib.getstate(), n
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 123])
+    def test_offset_below_is_randint(self, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for a, b in [(0, 9), (1, 1), (8, 32), (0, 3286), (1, 4747), (-5, 10**6)]:
+            drawn = [a + _below(ours.getrandbits, b - a + 1) for _ in range(50)]
+            assert drawn == [stdlib.randint(a, b) for _ in range(50)], (a, b)
+            assert ours.getstate() == stdlib.getstate(), (a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 123])
+    def test_index_below_is_choice(self, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for size in [1, 2, 40, 4100]:
+            seq = [f"journal-{k}" for k in range(size)]
+            drawn = [seq[_below(ours.getrandbits, len(seq))] for _ in range(50)]
+            assert drawn == [stdlib.choice(seq) for _ in range(50)], size
+            assert ours.getstate() == stdlib.getstate(), size
 
 
 @pytest.fixture(scope="module")
