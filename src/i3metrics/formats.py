@@ -6,10 +6,20 @@ platforms; a score of magnitude 1e15 or more prints as JSON spells it
 (``9.010201290907242e+305``), not in hundreds of digits.  JSON output
 keeps full double precision instead.
 
-Every CSV the package reads goes through :func:`read_csv`, and every
+Every CSV the package reads goes through :func:`read_blocks`, and every
 CSV it writes through :func:`write_csv`: one header check, one row
 arity check, one line numbering, and one dialect (``\\n`` line ends).
 Every JSON document it writes goes through :func:`json_text`.
+
+The reader takes lines in blocks.  A block of plain lines (unquoted
+cells, the header's number of commas, a line feed at the end, no
+carriage return or NUL) is split with ``str`` methods and handed over
+as columns, so a loader can resolve each column in one C-level call.
+From the first block that is not plain, ``csv.reader`` reads the rest
+of the file one record at a time.  Either way the records, errors and
+line numbers are the same.  :func:`read_csv` is the row view the
+catalog reads through.  A cell over the ``csv`` field limit and a byte
+that is not UTF-8 are input errors naming the file.
 """
 
 from __future__ import annotations
@@ -17,9 +27,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import InputError
+
+# Lines per block of :func:`read_blocks`.  Larger blocks run no faster, and
+# the more cells a block holds at once, the more scattered the heap it leaves.
+_BLOCK = 512
+# Every byte but those csv.reader treats specially; what is left of a
+# plain line is its commas and its line feed.
+_NOT_SPECIAL = bytes(set(range(256)).difference(b',"\r\n\0'))
 
 
 def fmt_score(x: float) -> str:
@@ -50,34 +68,86 @@ def _ascii(parse):
 ascii_int, ascii_float = _ascii(int), _ascii(float)
 
 
-def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield the (lineno, row) pairs after a required header, skipping blank lines.
+def read_blocks(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]:
+    """Yield the records after a required header, as column blocks while the lines are plain.
 
-    The header cells must equal ``header`` once trimmed, and every row
-    must have as many fields.  ``lineno`` is the physical line a record
-    starts on, counted by the reader, so it stays right after a quoted
-    cell that spans lines.  Cells come back raw; see :func:`csv_field`.
+    The header cells must equal ``header`` once trimmed (a header has
+    two fields or more, so a blank line is never plain), every record
+    must have as many fields, and blank lines are skipped.  A block of
+    up to ``_BLOCK`` plain lines comes as ``(linenos, columns)``: a
+    range of line numbers and one list of raw cells per field.  The
+    first block that is not plain and the rest of the stream come as
+    one last ``(None, rows)``, where ``rows`` yields ``(lineno, row)``
+    pairs parsed by ``csv.reader``.  ``lineno`` is the physical line a
+    record starts on, so it stays right after a quoted cell that spans
+    lines.  Cells come back raw; see :func:`csv_field`.
     """
-    reader = csv.reader(stream)
+    lines = iter(stream)
+    reader = csv.reader(lines)
     try:
-        first = next(reader)
-    except StopIteration:
-        raise InputError(f"{source}: empty file, expected header {','.join(header)}") from None
-    if [cell.strip() for cell in first] != header:
-        raise InputError(
-            f"{source} line 1: expected header {','.join(header)}, "
-            f"got {','.join(first)}"
-        )
-    width, end = len(header), reader.line_num
-    for row in reader:
-        lineno, end = end + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != width:
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise InputError(f"{source}: empty file, expected header {','.join(header)}") from None
+        except csv.Error as exc:
+            raise InputError(f"{source} line 1: {exc}") from None
+        if [cell.strip() for cell in first] != header:
             raise InputError(
-                f"{source} line {lineno}: expected {width} fields, got {len(row)}"
+                f"{source} line 1: expected header {','.join(header)}, "
+                f"got {','.join(first)}"
             )
-        yield lineno, row
+        width, end = len(header), reader.line_num
+        plain_line, limit = b"," * (width - 1) + b"\n", csv.field_size_limit()
+        while block := list(islice(lines, _BLOCK)):
+            text, count = "".join(block), len(block)
+            plain = plain_line * count
+            skeleton = text.encode("utf-8", "surrogatepass").translate(None, _NOT_SPECIAL)
+            # A line longer than the field limit may hold a field csv.reader refuses.
+            if (skeleton != plain and skeleton != plain[:-1]
+                    or len(text) > limit and max(map(len, block)) > limit):
+                yield None, _rows(chain(block, lines), width, source, end)
+                return
+            cells = text.replace("\n", ",").split(",")
+            yield (range(end + 1, end + count + 1),
+                   [cells[k:width * count:width] for k in range(width)])
+            end += count
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source, exc) from None
+
+
+def _rows(lines: Iterator[str], width: int, source: str,
+          end: int) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, row)`` for each record ``csv.reader`` reads from ``lines``, which follow line ``end``."""
+    reader, start = csv.reader(lines), end
+    try:
+        for row in reader:
+            lineno, end = end + 1, start + reader.line_num
+            if not row:
+                continue
+            if len(row) != width:
+                raise InputError(
+                    f"{source} line {lineno}: expected {width} fields, got {len(row)}"
+                )
+            yield lineno, row
+    except csv.Error as exc:
+        raise InputError(f"{source} line {end + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source, exc) from None
+
+
+def _not_utf8(source: str, exc: UnicodeDecodeError) -> InputError:
+    """The error for a file that does not decode; the stream decodes in chunks, so no line."""
+    return InputError(f"{source}: not valid UTF-8 ({exc.reason}: "
+                      f"0x{exc.object[exc.start:exc.end].hex()})")
+
+
+def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
+    """The records of :func:`read_blocks` one at a time, as ``(lineno, row)`` pairs."""
+    for linenos, columns in read_blocks(stream, header, source):
+        if linenos is None:
+            yield from columns
+        else:
+            yield from zip(linenos, map(list, zip(*columns)))
 
 
 def csv_field(raw: str, source: str, lineno: int) -> str:

@@ -40,12 +40,13 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
+from operator import add, attrgetter, gt, is_
 from typing import IO, Sequence
 
 from .catalog import Catalog, canonical_name
 from .errors import InputError, ResolutionError
-from .formats import csv_field, read_csv
+from .formats import csv_field, read_blocks
 
 __all__ = [
     "ArticleRecord",
@@ -69,8 +70,11 @@ _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # A group key packs the rank of the canonical citing name with the
 # citation year; years have four digits, so they stay below this.
 _YEAR_SPAN = 10000
-# Date ordinals stay below this.
-_DAY_SPAN = dt.date.max.toordinal() + 1
+
+# Every whole number up to this is exact as a float.
+_FLOAT_WHOLE = 2 ** 53
+
+_position = attrgetter("position")
 
 
 @dataclass(slots=True)
@@ -147,32 +151,43 @@ def load_ledger(
     (then citing journal) per article.  Each distinct journal and date
     cell is checked and parsed, and each distinct citing spelling
     joined, only once.
+
+    A block of plain rows from :func:`read_blocks` is resolved one
+    column at a time.  The row loops take the rows ``csv.reader``
+    parses, and any block with a row that needs a closer look: an
+    article id that is unknown or must be trimmed, a refused new cell,
+    a duplicate, a citation that precedes its article.  So the first
+    error, its text and its line are those of a row-by-row load.
     """
     articles: dict[str, ArticleRecord] = {}
     # Both keyed by the raw cell: a cell seen before has passed csv_field,
     # and on a row of new cells the checks keep their order.
     journals: dict[str, str] = {}
     dates: dict[str, dt.date] = {}
-    for lineno, (article_id, journal_raw, date_raw) in read_csv(
-            articles_stream, ARTICLES_HEADER, articles_source):
-        article_id = csv_field(article_id, articles_source, lineno)
-        journal = journals.get(journal_raw)
-        if journal is None:
-            journal = journals[journal_raw] = csv_field(journal_raw, articles_source, lineno)
-        published = dates.get(date_raw)
-        if published is None:
-            date_cell = csv_field(date_raw, articles_source, lineno)
-        if not article_id:
-            raise InputError(f"{articles_source} line {lineno}: empty article id")
-        if not journal:
-            raise InputError(f"{articles_source} line {lineno}: empty journal")
-        if article_id in articles:
-            raise InputError(
-                f"{articles_source} line {lineno}: duplicate article id {article_id!r}"
-            )
-        if published is None:
-            published = dates[date_raw] = _parse_date(date_cell, articles_source, lineno)
-        articles[article_id] = ArticleRecord(journal, published, len(articles))
+    for linenos, cells in read_blocks(articles_stream, ARTICLES_HEADER, articles_source):
+        if linenos and _articles_block(cells, articles, journals, dates, articles_source):
+            continue
+        for lineno, (article_id, journal_raw, date_raw) in (
+                cells if linenos is None else zip(linenos, zip(*cells))):
+            article_id = csv_field(article_id, articles_source, lineno)
+            journal = journals.get(journal_raw)
+            if journal is None:
+                journal = journals[journal_raw] = csv_field(journal_raw, articles_source, lineno)
+            published = dates.get(date_raw)
+            if published is None:
+                date_cell = csv_field(date_raw, articles_source, lineno)
+            if not article_id:
+                raise InputError(f"{articles_source} line {lineno}: empty article id")
+            if not journal:
+                raise InputError(f"{articles_source} line {lineno}: empty journal")
+            if article_id in articles:
+                raise InputError(
+                    f"{articles_source} line {lineno}: duplicate article id {article_id!r}"
+                )
+            if published is None:
+                published = dates[date_raw] = _parse_date(date_cell, articles_source, lineno)
+            articles[article_id] = ArticleRecord(journal, published, len(articles))
+    del journals, dates
 
     publication_days = [article.publication_date.toordinal() for article in articles.values()]
     # Keyed by the raw cell, so the common case costs one dict lookup per
@@ -181,54 +196,139 @@ def load_ledger(
     spellings: list[str] = []
     ordinals: dict[str, int] = {}
     row_article, row_day, row_spelling = [], [], []  # per row, in file order
-    rows = read_csv(citations_stream, CITATIONS_HEADER, citations_source)
-    for lineno, (article_id, journal_raw, date_raw) in rows:
-        article = articles.get(article_id)
-        if article is None:  # try the trimmed cell, refusing a carriage return
-            article_id = csv_field(article_id, citations_source, lineno)
+    for linenos, cells in read_blocks(citations_stream, CITATIONS_HEADER, citations_source):
+        block = linenos and _citations_block(cells, articles, publication_days, spelling_ids,
+                                             spellings, ordinals, citations_source)
+        if block:
+            row_article += block[0]
+            row_spelling += block[1]
+            row_day += block[2]
+            continue
+        for lineno, (article_id, journal_raw, date_raw) in (
+                cells if linenos is None else zip(linenos, zip(*cells))):
             article = articles.get(article_id)
-            if article is None:
+            if article is None:  # try the trimmed cell, refusing a carriage return
+                article_id = csv_field(article_id, citations_source, lineno)
+                article = articles.get(article_id)
+                if article is None:
+                    raise InputError(
+                        f"{citations_source} line {lineno}: citation of unknown "
+                        f"article {article_id!r}"
+                    )
+            i = article.position
+            s = spelling_ids.get(journal_raw)
+            if s is None:
+                s = spelling_ids[journal_raw] = _intern_spelling(
+                    journal_raw, spelling_ids, spellings, citations_source, lineno)
+            cited = ordinals.get(date_raw)
+            if cited is None:
+                cited = ordinals[date_raw] = _parse_ordinal(date_raw, citations_source, lineno)
+            if cited < publication_days[i]:
                 raise InputError(
-                    f"{citations_source} line {lineno}: citation of unknown "
-                    f"article {article_id!r}"
+                    f"{citations_source} line {lineno}: citation dated "
+                    f"{dt.date.fromordinal(cited)} precedes publication of {article_id!r} "
+                    f"({article.publication_date})"
                 )
-        i = article.position
-        s = spelling_ids.get(journal_raw)
-        if s is None:
-            s = spelling_ids[journal_raw] = _intern_spelling(
-                journal_raw, spelling_ids, spellings, citations_source, lineno)
-        cited = ordinals.get(date_raw)
-        if cited is None:
-            cited = ordinals[date_raw] = _parse_date(
-                csv_field(date_raw, citations_source, lineno), citations_source, lineno
-            ).toordinal()
-        if cited < publication_days[i]:
-            raise InputError(
-                f"{citations_source} line {lineno}: citation dated "
-                f"{dt.date.fromordinal(cited)} precedes publication of {article_id!r} "
-                f"({article.publication_date})"
-            )
-        row_article.append(i)
-        row_day.append(cited)
-        row_spelling.append(s)
+            row_article.append(i)
+            row_day.append(cited)
+            row_spelling.append(s)
+    del publication_days
 
     canonical = [canonical_name(spelling) for spelling in spellings]
     names = sorted(set(canonical))
     name_rank = {name: rank for rank, name in enumerate(names)}
     spelling_rank = [name_rank[name] for name in canonical]
-    # One stable sort of all rows by (article, date, canonical name).
-    n_names = len(names)
-    order = sorted(range(len(row_article)), key=[
-        (i * _DAY_SPAN + d) * n_names + spelling_rank[s]
-        for i, d, s in zip(row_article, row_day, row_spelling)
-    ].__getitem__)
-    days = array("i", [row_day[r] for r in order])
-    spelled = array("i", [row_spelling[r] for r in order])
-    years = {d: dt.date.fromordinal(d).year for d in set(ordinals.values())}
-    groups = array("q", [spelling_rank[s] * _YEAR_SPAN + years[d] for s, d in zip(spelled, days)])
     per_article = Counter(row_article)
-    offsets = array("q", accumulate((per_article[i] for i in range(len(articles))), initial=0))
-    return Ledger(articles, offsets, days, spelled, groups, spellings, names)
+    # From a list, which sizes the array exactly; an iterator over-allocates it.
+    offsets = array("q", list(accumulate(map(per_article.__getitem__, range(len(articles))),
+                                         initial=0)))
+    # One stable sort of all rows by (article, date, canonical name), file
+    # order kept on ties.  A key is a sum of three whole numbers, as floats
+    # (which sort faster) while every key is below _FLOAT_WHOLE.  Each
+    # intermediate is freed once used: the sort is the loader's peak.
+    days_seen = set(ordinals.values())
+    first_day, n_names = min(days_seen, default=0), len(names)
+    n_days = max(days_seen, default=0) - first_day + 1
+    exact = float if len(articles) * n_days * n_names <= _FLOAT_WHOLE else int
+    article_key = [exact(i * n_days * n_names) for i in range(len(articles))]
+    day_key = {d: exact((d - first_day) * n_names) for d in days_seen}
+    name_key = list(map(exact, spelling_rank))
+    keys = [article_key[i] + day_key[d] + name_key[s]
+            for i, d, s in zip(row_article, row_day, row_spelling)]
+    del per_article, row_article, article_key, day_key, name_key
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    days = list(map(row_day.__getitem__, order))
+    del row_day
+    spelled = list(map(row_spelling.__getitem__, order))
+    del row_spelling, order
+    group_base = [rank * _YEAR_SPAN for rank in spelling_rank]
+    years = {d: dt.date.fromordinal(d).year for d in days_seen}
+    groups = array("q", list(map(add, map(group_base.__getitem__, spelled),
+                                 map(years.__getitem__, days))))
+    return Ledger(articles, offsets, array("i", days), array("i", spelled), groups,
+                  spellings, names)
+
+
+def _articles_block(cells: list[list[str]], articles: dict[str, ArticleRecord],
+                    journals: dict[str, str], dates: dict[str, dt.date], source: str) -> bool:
+    """Add a block of plain article rows column by column; False if a row needs the row loop."""
+    id_cells, journal_cells, date_cells = cells
+    ids = list(map(str.strip, id_cells))
+    fresh = dict.fromkeys(ids)
+    if "" in fresh or len(fresh) < len(ids) or not articles.keys().isdisjoint(fresh):
+        return False
+    try:
+        names = _resolve(journal_cells, journals, lambda raw: csv_field(raw, source, 0))
+        published = _resolve(date_cells, dates,
+                             lambda raw: _parse_date(csv_field(raw, source, 0), source, 0))
+    except InputError:
+        return False
+    if "" in names:
+        return False
+    articles.update(zip(ids, map(ArticleRecord, names, published, count(len(articles)))))
+    return True
+
+
+def _citations_block(cells: list[list[str]], articles: dict[str, ArticleRecord],
+                     publication_days: list[int], spelling_ids: dict[str, int],
+                     spellings: list[str], ordinals: dict[str, int],
+                     source: str) -> tuple[list[int], list[int], list[int]] | None:
+    """Positions, spelling ids and date ordinals of a block of plain citation rows.
+
+    None if a row needs the row loop: its article id is unknown or must
+    be trimmed, a new cell is refused, or it precedes its article.
+    """
+    id_cells, journal_cells, date_cells = cells
+    try:
+        positions = list(map(_position, map(articles.get, id_cells)))
+    except AttributeError:  # an id that is not a key as it stands
+        return None
+    try:
+        spelled = _resolve(journal_cells, spelling_ids, lambda raw: _intern_spelling(
+            raw, spelling_ids, spellings, source, 0))
+        cited = _resolve(date_cells, ordinals, lambda raw: _parse_ordinal(raw, source, 0))
+    except InputError:
+        return None
+    if any(map(gt, map(publication_days.__getitem__, positions), cited)):
+        return None
+    return positions, spelled, cited
+
+
+def _resolve(cells: list[str], table: dict, new) -> list:
+    """``table[cell]`` for each cell, adding the misses as ``new(cell)`` in first-occurrence order.
+
+    ``new`` checks a cell without its line number: a refused cell sends
+    its block through the row loop, which raises with the line.
+    """
+    values = list(map(table.get, cells))
+    if None in values:
+        for k in list(compress(range(len(cells)), map(is_, values, repeat(None)))):
+            value = table.get(cells[k])
+            if value is None:
+                value = table[cells[k]] = new(cells[k])
+            values[k] = value
+    return values
 
 
 def shift_years(day: dt.date, years: int) -> dt.date:
@@ -424,6 +524,11 @@ def _intern_spelling(raw: str, ids: dict[str, int], spellings: list[str],
         s = ids[name] = len(spellings)
         spellings.append(name)
     return s
+
+
+def _parse_ordinal(raw: str, source: str, lineno: int) -> int:
+    """The day number of a date cell, trimmed and written exactly ``YYYY-MM-DD``."""
+    return _parse_date(csv_field(raw, source, lineno), source, lineno).toordinal()
 
 
 def _parse_date(raw: str, source: str, lineno: int) -> dt.date:

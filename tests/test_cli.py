@@ -903,6 +903,37 @@ class TestErrorLines:
         assert err == "error: article 'b': journal 'Missing Journal' not in catalog\n"
 
 
+class TestUnreadableFiles:
+    """Cells csv cannot hold and bytes UTF-8 cannot decode are input errors naming the file."""
+
+    @pytest.mark.parametrize("flag, row, line", [
+        ("--catalog", "bio,{},,2010,1.0", 6),
+        ("--articles", "a-3,{},2011-05-01", 4),
+        ("--citations", "a-1,{},2012-01-01", 5),
+    ], ids=["catalog", "articles", "citations"])
+    def test_a_cell_over_the_field_limit_names_its_line(self, capsys, data, flag, row, line):
+        path = Path(data[data.index(flag) + 1])
+        with open(path, "a", encoding="utf-8", newline="") as handle:
+            handle.write(row.format("x" * 200_000) + "\n")
+        code, out, err = run(capsys, "score", "--all", *data)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path} line {line}: "
+                       f"field larger than field limit ({csv.field_size_limit()})\n")
+
+    @pytest.mark.parametrize("flag, row", [
+        ("--catalog", b"bio,Delta\xffReview,,2010,1.0\n"),
+        ("--articles", b"a-3,Alpha Letters,2011-05-01\xff\n"),
+        ("--citations", b"\xff-1,Beta Annals,2012-01-01\n"),
+    ], ids=["catalog", "articles", "citations"])
+    def test_a_byte_that_is_not_utf8_names_the_file(self, capsys, data, flag, row):
+        path = Path(data[data.index(flag) + 1])
+        with open(path, "ab") as handle:
+            handle.write(row)
+        code, out, err = run(capsys, "score", "--all", *data)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: not valid UTF-8 (invalid start byte: 0xff)\n"
+
+
 class TestErrorOrder:
     """Flags are checked before any file is read; then f_score's order holds."""
 

@@ -1,10 +1,24 @@
-"""The shared number grammar and JSON writer."""
+"""The shared number grammar, the CSV reader and the JSON writer."""
 
+import csv
+import io
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from i3metrics.formats import ascii_float, ascii_int, fmt_score, json_text
+from i3metrics import formats
+from i3metrics.errors import InputError
+from i3metrics.formats import (
+    ascii_float,
+    ascii_int,
+    fmt_score,
+    json_text,
+    read_blocks,
+    read_csv,
+)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -39,3 +53,132 @@ def test_fmt_score_switches_to_the_json_spelling_at_1e15():
     assert fmt_score(-1e15) == "-1000000000000000.0"
     assert fmt_score(9.010201290907242e+305) == "9.010201290907242e+305"
     assert (fmt_score(0.5), fmt_score(-0.0)) == ("0.500000", "-0.000000")
+
+
+# -- the CSV reader ----------------------------------------------------
+
+HEADER = ["id", "name", "day"]
+
+
+def reference_read_csv(stream, header, source):
+    """The reader before blocks: ``csv.reader`` row by row, the plain reference."""
+    reader = csv.reader(stream)
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise InputError(f"{source}: empty file, expected header {','.join(header)}") from None
+    if [cell.strip() for cell in first] != header:
+        raise InputError(
+            f"{source} line 1: expected header {','.join(header)}, "
+            f"got {','.join(first)}"
+        )
+    width, end = len(header), reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num
+        if not row:
+            continue
+        if len(row) != width:
+            raise InputError(
+                f"{source} line {lineno}: expected {width} fields, got {len(row)}"
+            )
+        yield lineno, row
+
+
+def flattened_blocks(stream, header, source):
+    for linenos, columns in read_blocks(stream, header, source):
+        yield from columns if linenos is None else zip(linenos, zip(*columns))
+
+
+def outcome(read, text, newline):
+    """The (lineno, row) pairs read up to the end or the first error, and that error."""
+    pairs = []
+    try:
+        for lineno, row in read(io.StringIO(text, newline=newline), HEADER, "f.csv"):
+            pairs.append((lineno, list(row)))
+    except (InputError, csv.Error) as exc:
+        return pairs, exc
+    return pairs, None
+
+
+def assert_reads_as_the_reference(text, newline="", block=3):
+    expected, error = outcome(reference_read_csv, text, newline)
+    with mock.patch.object(formats, "_BLOCK", block):
+        for read in (flattened_blocks, read_csv):
+            pairs, got = outcome(read, text, newline)
+            assert pairs == expected
+            if isinstance(error, csv.Error):  # now an input error naming the file and line
+                assert isinstance(got, InputError)
+                assert str(got).startswith("f.csv line ") and str(got).endswith(f": {error}")
+            else:
+                assert type(got) is type(error) and str(got) == str(error)
+
+
+PLAIN = "".join(f"{k},name {k},2015-01-0{k % 9 + 1}\n" for k in range(7))
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "\nid,name,day\n1,2,3\n",
+    "id,name,day\n",
+    "id,name,day",
+    '"id", "name" ,"day"\r\n1,2,3\r\n',
+    "id,name,day\n" + PLAIN,
+    "id,name,day\n" + PLAIN + "7,8,9",
+    "id,name,day\n" + PLAIN + '7,"a,b",9\n' + PLAIN,
+    "id,name,day\n" + PLAIN + '7,"a\nb",9\n' + PLAIN + "1,2\n",
+    "id,name,day\n" + PLAIN + '7,"a\rb",9\n' + PLAIN,
+    "id,name,day\n" + PLAIN + '7,"a""b",9\n',
+    "id,name,day\n" + PLAIN + "\n\n" + PLAIN + "\n",
+    "id,name,day\r\n" + PLAIN.replace("\n", "\r\n"),
+    "id,name,day\n" + PLAIN + "7,8\n" + PLAIN,
+    "id,name,day\n" + PLAIN + "7,8,9,10\n",
+    "id,name,day\n" + PLAIN + "7,a\0b,9\n" + PLAIN,
+    "id,name,day\n" + PLAIN + "7,a\rb,9\n" + PLAIN,
+    "id,name,day\n" + PLAIN + "  \n",
+], ids=["empty", "blank-header", "header-only", "header-only-no-newline", "quoted-header",
+        "plain", "no-final-newline", "quoted-comma", "quoted-newline-then-arity",
+        "quoted-carriage-return", "doubled-quote", "blank-lines", "crlf", "too-few-fields",
+        "too-many-fields", "nul", "bare-carriage-return", "whitespace-line"])
+@pytest.mark.parametrize("newline", ["", "\n", None], ids=["newline-none", "lf", "universal"])
+@pytest.mark.parametrize("block", [1, 3, 2048])
+def test_reader_reads_as_csv_reader_does(text, newline, block):
+    assert_reads_as_the_reference(text, newline, block)
+
+
+CELLS = st.one_of(st.text(alphabet="ab é", max_size=3), st.text(alphabet='ab ,"\r\n\0é', max_size=3))
+
+
+@st.composite
+def csv_texts(draw):
+    """Header and rows as ``csv.writer`` spells them, or as arbitrary bytes after a header."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.one_of(st.lists(CELLS, min_size=3, max_size=3),
+                                       st.lists(CELLS, max_size=4)), max_size=14))
+        out = io.StringIO()
+        csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+                   lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([HEADER] + rows)
+        text = out.getvalue()
+        return text.rstrip("\r\n") if draw(st.booleans()) else text
+    tokens = st.sampled_from(["a", "é", " ", ",", ",,", '"', "\n", "\r\n", "\r", "\0"])
+    return "id,name,day\n" + "".join(draw(st.lists(tokens, max_size=40)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.sampled_from(["", "\n", None]), st.integers(1, 4))
+def test_blocks_flatten_to_the_rows_csv_reader_reads(text, newline, block):
+    assert_reads_as_the_reference(text, newline, block)
+
+
+def test_lines_without_line_feeds_go_to_csv_reader():
+    lines = ["id,name,day", "1,2,3", "4,5,6"]
+    with mock.patch.object(formats, "_BLOCK", 2):
+        assert list(read_csv(lines, HEADER, "f.csv")) == [(2, ["1", "2", "3"]), (3, ["4", "5", "6"])]
+
+
+def test_plain_lines_come_as_columns_and_the_rest_as_rows():
+    text = "id,name,day\n1,a,x\n2,b,y\n3,\"c\",z\n4,d,w\n"
+    with mock.patch.object(formats, "_BLOCK", 2):
+        blocks = [(linenos, columns if linenos is not None else list(columns))
+                  for linenos, columns in read_blocks(io.StringIO(text), HEADER, "f.csv")]
+    assert blocks == [(range(2, 4), [["1", "2"], ["a", "b"], ["x", "y"]]),
+                      (None, [(4, ["3", "c", "z"]), (5, ["4", "d", "w"])])]
