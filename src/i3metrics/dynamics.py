@@ -30,7 +30,7 @@ from .catalog import Catalog
 from .core import compute_i3, i3_auc, i3_derivative
 from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score, json_text
-from .ledger import Ledger, anniversary_masses, f_score
+from .ledger import Ledger, anniversary_masses, f_score, factor_table
 
 __all__ = [
     "DynamicsPoint",
@@ -99,8 +99,8 @@ def dynamics_report(
 
     f_full = f_score(ledger, catalog, article_id, if_mode="current",
                      fallback_if=fallback_if)
-    # f_score has resolved the article and its publishing journal.
-    beta = catalog.beta_for(catalog.journal(ledger.articles[article_id].journal).category)
+    beta = factor_table(ledger, catalog, fallback_if).publisher(
+        ledger.articles[article_id].journal).beta
     i3_full = compute_i3(f_full, beta)
     auc_full = i3_auc(f_full, beta)
 

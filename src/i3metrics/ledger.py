@@ -24,11 +24,11 @@ ascending cutoffs, each window a prefix of the next: :func:`f_score`
 asks for one cutoff, :func:`anniversary_masses` for several
 anniversaries, :func:`validate_truncation` for a truncated window and
 the full history.  Errors surface as if each cutoff were scored on its
-own, in turn: a bad ``as_of``, an unknown article id, the publishing
-journal, uncatalogued citing journals, the first failing impact factor
-in sorted key order, then overflow.  Scoring and dynamics call
-:func:`f_score` before anything else about an article, so it is the one
-place an id is resolved to its record, window and publishing journal.
+own, in turn: a bad ``fallback_if``, a bad ``as_of``, an unknown
+article id, the publishing journal, uncatalogued citing journals, the
+first failing impact factor in sorted key order, then overflow.  The
+factors come from the ledger's factor table (see :class:`Ledger`), so
+each is resolved once per catalog and ``fallback_if``, not per article.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import math
 import re
 from array import array
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, repeat
 from operator import add, attrgetter, gt, is_
 from typing import IO, Sequence
@@ -94,9 +94,54 @@ class CitationEvent:
     date: dt.date
 
 
+# A publishing journal in a factor table, where ``base + year`` is its key.
+_Publisher = namedtuple("_Publisher", "base category phi beta current_if")
+
+
+class _Factors(dict):
+    """Impact factors of a ledger's journals under one catalog and ``fallback_if``.
+
+    ``records`` and ``current`` hold the catalog record (None if
+    uncatalogued) and current IF of each rank in ``Ledger.names``; a
+    publishing journal no row cites takes the next rank.  The dict (group
+    key -> historical IF) and ``publishers`` (spelling -> entry) fill on
+    first use, and a lookup that raises stores nothing.
+    """
+
+    __slots__ = ("catalog", "fallback_if", "ranks", "records", "current", "publishers")
+
+    def __init__(self, names: list[str], catalog: Catalog, fallback_if: float | None):
+        if fallback_if is not None and not 0.0 <= fallback_if < math.inf:
+            raise ValueError(f"fallback_if must be a finite number >= 0, got {fallback_if!r}")
+        self.catalog, self.fallback_if, self.publishers = catalog, fallback_if, {}
+        self.ranks = dict(zip(names, count()))
+        self.records = list(map(catalog.journals.get, names))
+        self.current = [fallback_if if r is None else r.latest_if() for r in self.records]
+
+    def __missing__(self, key: int) -> float:
+        rank, year = divmod(key, _YEAR_SPAN)
+        record = self.records[rank]
+        factor = self[key] = self.fallback_if if record is None else record.if_at(year)
+        return factor
+
+    def publisher(self, spelling: str) -> _Publisher:
+        entry = self.publishers.get(spelling)
+        if entry is None:
+            name = canonical_name(spelling)
+            record = self.catalog.journals.get(name) or self.catalog.journal(spelling)  # raises
+            rank = self.ranks.setdefault(name, len(self.records))
+            if rank == len(self.records):
+                self.records.append(record)
+            category = record.category
+            entry = self.publishers[spelling] = _Publisher(
+                rank * _YEAR_SPAN, category, self.catalog.phi(category),
+                self.catalog.beta_for(category), record.latest_if())
+        return entry
+
+
 @dataclass
 class Ledger:
-    """Validated articles and their citations, not modified after load.
+    """Validated articles and their citations, and the impact factors masses read.
 
     The citations are stored once, as parallel columns shared by all
     articles: those of the article whose record has ``position`` ``i``
@@ -107,6 +152,8 @@ class Ledger:
     rank of its canonical name in ``names`` times ``_YEAR_SPAN`` plus
     the citation year, so that sorted keys run journal first, then
     year.  :class:`CitationEvent` objects are built only on request.
+    The columns are not modified after load; the factor table is kept
+    while the catalog object and ``fallback_if`` stay the same.
     """
 
     articles: dict[str, ArticleRecord]
@@ -116,6 +163,7 @@ class Ledger:
     groups: array
     spellings: list[str]
     names: list[str]
+    _factors: _Factors | None = field(default=None, init=False, compare=False, repr=False)
 
     def article(self, article_id: str) -> ArticleRecord:
         try:
@@ -362,9 +410,10 @@ def f_score(
     after publication.  Citing journals missing from the catalog abort
     the scoring with a :class:`ResolutionError` listing them, unless
     ``fallback_if`` supplies a stand-in impact factor; the publishing
-    journal must always resolve.  A mass that overflows a double is
-    refused with a :class:`ValueError`.  The mass is the one cutoff of
-    :func:`_masses`; the module docstring gives the order of the errors.
+    journal must always resolve.  A ``fallback_if`` that is not finite
+    and >= 0 is refused, as is a mass that overflows a double, with a
+    :class:`ValueError`.  The mass is the one cutoff of :func:`_masses`;
+    the module docstring gives the order of the errors.
     """
     if if_mode not in IF_MODES:
         raise ValueError(f"if_mode must be one of {IF_MODES}, got {if_mode!r}")
@@ -425,27 +474,23 @@ def _masses(
     """Mass of one article at each of the ascending ``cutoffs`` (``None``: full history).
 
     One group count (citing journal, and year when IFs are historical)
-    grows between cutoffs.  The publishing IF is resolved once and each
-    group's factor at most once.  Every cutoff adds ``count * factor``
-    onto the publishing IF over the sorted keys, journal first, then
-    year, and raises the errors in the order the module docstring gives.
+    grows between cutoffs, and every factor comes from the ledger's
+    factor table.  Every cutoff adds ``count * factor`` onto the
+    publishing IF over the sorted keys, journal first, then year, and
+    raises the errors in the order the module docstring gives.
     """
-    journals, names = catalog.journals, ledger.names
+    table = factor_table(ledger, catalog, fallback_if)
+    factors = table if historical else table.current
     span = _YEAR_SPAN if historical else 1  # with current IFs a key is the name rank alone
-    # Memo only across cutoffs.  With one cutoff each key is resolved once,
-    # so the dict is pure cost: dense historical scoring (score-dense) runs
-    # 10-25% slower with it.  Across anniversaries a key recurs per cutoff:
-    # dynamics reports (trajectory) run about 40% slower without it.
-    factors: dict[int, float] | None = {} if len(cutoffs) > 1 else None
     groups: dict[int, int] = {}
     masses: list[float] = []
     try:
         for cutoff in cutoffs:
             article, start, stop = _window(ledger, article_id, cutoff)
             if not masses:
-                publisher = catalog.journal(article.journal)
-                total = psi_a = (publisher.if_at(article.publication_date.year) if historical
-                                 else publisher.latest_if())
+                publisher = table.publisher(article.journal)
+                total = psi_a = (factors[publisher.base + article.publication_date.year]
+                                 if historical else publisher.current_if)
                 counted = start
             if stop > counted:
                 rows = ledger.groups[counted:stop]
@@ -455,20 +500,12 @@ def _masses(
                 counted = stop
                 if fallback_if is None:
                     unknown = sorted({key // span for key in groups
-                                      if names[key // span] not in journals})
+                                      if table.records[key // span] is None})
                     if unknown:
                         raise _uncatalogued(ledger, start, stop, unknown)
                 total = psi_a
                 for key in sorted(groups):
-                    factor = factors.get(key) if factors else None
-                    if factor is None:
-                        rank, year = divmod(key, span)
-                        record = journals.get(names[rank])
-                        factor = (fallback_if if record is None
-                                  else record.if_at(year) if historical else record.latest_if())
-                        if factors is not None:
-                            factors[key] = factor
-                    total += groups[key] * factor
+                    total += groups[key] * factors[key]
                 if total == math.inf:
                     raise ValueError(f"article {article_id!r}: citation mass overflows a "
                                      f"double (impact factors too large)")
@@ -476,6 +513,14 @@ def _masses(
     except ResolutionError as exc:
         raise ResolutionError(f"article {article_id!r}: {exc}") from None
     return masses
+
+
+def factor_table(ledger: Ledger, catalog: Catalog, fallback_if: float | None) -> _Factors:
+    """The ledger's factor table, rebuilt (and ``fallback_if`` checked) on a new key."""
+    table = ledger._factors
+    if table is None or table.catalog is not catalog or table.fallback_if != fallback_if:
+        table = ledger._factors = _Factors(ledger.names, catalog, fallback_if)
+    return table
 
 
 def _window(

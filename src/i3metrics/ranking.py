@@ -23,7 +23,7 @@ from .catalog import Catalog
 from .core import compute_i3, i3_auc
 from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score, json_text
-from .ledger import Ledger, citation_count, f_score
+from .ledger import Ledger, citation_count, f_score, factor_table
 
 __all__ = [
     "ScoreReport",
@@ -94,22 +94,14 @@ def score_articles(
     """
     if article_ids is None:
         article_ids = list(ledger.articles)
-    resolved = {}  # publishing spelling -> (category, phi, beta)
-    reports = []
+    table, reports = factor_table(ledger, catalog, fallback_if), []
     for article_id in article_ids:
         mass = f_score(ledger, catalog, article_id, as_of=as_of,
                        if_mode=if_mode, fallback_if=fallback_if)
-        # f_score has resolved the article and its publishing journal.
-        spelling = ledger.articles[article_id].journal
-        journal = resolved.get(spelling)
-        if journal is None:
-            category = catalog.journal(spelling).category
-            journal = resolved[spelling] = (category, catalog.phi(category),
-                                            catalog.beta_for(category))
-        category, phi, beta = journal
+        journal = table.publisher(ledger.articles[article_id].journal)
         reports.append(ScoreReport(
-            article_id, category, phi, beta, mass, compute_i3(mass, beta),
-            citation_count(ledger, article_id, as_of=as_of)))
+            article_id, journal.category, journal.phi, journal.beta, mass,
+            compute_i3(mass, journal.beta), citation_count(ledger, article_id, as_of=as_of)))
     return reports
 
 
