@@ -24,7 +24,7 @@ from .dynamics import check_years, curve_points, curve_family_to_csv, \
 from .errors import InputError, ResolutionError
 from .formats import ascii_float, ascii_int, csv_text, fmt_beta, fmt_score, json_text
 from .generate import generate_corpus
-from .ledger import ARTICLES_HEADER, CITATIONS_HEADER, IF_MODES, Ledger, check_as_of, \
+from .ledger import ARTICLES_HEADER, CITATIONS_HEADER, IF_MODES, Ledger, check_scoring, \
     load_ledger
 from .ranking import matthew_comparison, matthew_to_csv, matthew_to_obj, \
     rank, ranked_rows, report_to_obj, reports_to_csv, reports_to_json, score_articles
@@ -246,7 +246,7 @@ def _impact_factor(raw: str) -> float:
 
 def _score(args, ids) -> list:
     """Score reports for ``ids`` (every article when None) under the scoring flags."""
-    check_as_of(args.as_of)
+    check_scoring(args.as_of)
     catalog, ledger = _load_inputs(args)
     return score_articles(ledger, catalog, ids, if_mode=args.if_mode, as_of=args.as_of,
                           fallback_if=args.fallback_if)

@@ -200,12 +200,11 @@ def load_ledger(
     cell is checked and parsed, and each distinct citing spelling
     joined, only once.
 
-    A block of plain rows from :func:`read_blocks` is resolved one
-    column at a time.  The row loops take the rows ``csv.reader``
-    parses, and any block with a row that needs a closer look: an
-    article id that is unknown or must be trimmed, a refused new cell,
-    a duplicate, a citation that precedes its article.  So the first
-    error, its text and its line are those of a row-by-row load.
+    Only the citations' plain blocks from :func:`read_blocks` are resolved
+    a column at a time: measured, that takes about 19% off a dense load,
+    while on the articles it saved no end-to-end time, so they go row by
+    row like the catalog.  A citations block with a row that needs a closer
+    look goes row by row too: errors, texts and lines are a row-by-row load's.
     """
     articles: dict[str, ArticleRecord] = {}
     # Both keyed by the raw cell: a cell seen before has passed csv_field,
@@ -213,11 +212,10 @@ def load_ledger(
     journals: dict[str, str] = {}
     dates: dict[str, dt.date] = {}
     for linenos, cells in read_blocks(articles_stream, ARTICLES_HEADER, articles_source):
-        if linenos and _articles_block(cells, articles, journals, dates, articles_source):
-            continue
         for lineno, (article_id, journal_raw, date_raw) in (
                 cells if linenos is None else zip(linenos, zip(*cells))):
-            article_id = csv_field(article_id, articles_source, lineno)
+            article_id = (csv_field(article_id, articles_source, lineno) if "\r" in article_id
+                          else article_id.strip())  # csv_field only to refuse a CR
             journal = journals.get(journal_raw)
             if journal is None:
                 journal = journals[journal_raw] = csv_field(journal_raw, articles_source, lineno)
@@ -318,26 +316,6 @@ def load_ledger(
                   spellings, names)
 
 
-def _articles_block(cells: list[list[str]], articles: dict[str, ArticleRecord],
-                    journals: dict[str, str], dates: dict[str, dt.date], source: str) -> bool:
-    """Add a block of plain article rows column by column; False if a row needs the row loop."""
-    id_cells, journal_cells, date_cells = cells
-    ids = list(map(str.strip, id_cells))
-    fresh = dict.fromkeys(ids)
-    if "" in fresh or len(fresh) < len(ids) or not articles.keys().isdisjoint(fresh):
-        return False
-    try:
-        names = _resolve(journal_cells, journals, lambda raw: csv_field(raw, source, 0))
-        published = _resolve(date_cells, dates,
-                             lambda raw: _parse_date(csv_field(raw, source, 0), source, 0))
-    except InputError:
-        return False
-    if "" in names:
-        return False
-    articles.update(zip(ids, map(ArticleRecord, names, published, count(len(articles)))))
-    return True
-
-
 def _citations_block(cells: list[list[str]], articles: dict[str, ArticleRecord],
                      publication_days: list[int], spelling_ids: dict[str, int],
                      spellings: list[str], ordinals: dict[str, int],
@@ -415,8 +393,7 @@ def f_score(
     :class:`ValueError`.  The mass is the one cutoff of :func:`_masses`;
     the module docstring gives the order of the errors.
     """
-    if if_mode not in IF_MODES:
-        raise ValueError(f"if_mode must be one of {IF_MODES}, got {if_mode!r}")
+    check_scoring(if_mode=if_mode)
     return _masses(ledger, catalog, article_id, (as_of,), if_mode == "historical",
                    fallback_if)[0]
 
@@ -528,7 +505,7 @@ def _window(
 ) -> tuple[ArticleRecord, int, int]:
     """The article and the rows of its citations up to ``as_of`` years after publication."""
     if as_of is not None:
-        check_as_of(as_of)
+        check_scoring(as_of)
     article = ledger.articles.get(article_id) or ledger.article(article_id)  # raises if unknown
     start, stop = ledger.offsets[article.position], ledger.offsets[article.position + 1]
     if as_of is not None:
@@ -541,8 +518,10 @@ def _window(
     return article, start, stop
 
 
-def check_as_of(as_of: int | None) -> None:
-    """Refuse an ``as_of`` that is not None or a whole number of years >= 0."""
+def check_scoring(as_of: int | None = None, if_mode: str = "current") -> None:
+    """Refuse an ``if_mode`` not in ``IF_MODES``, then an ``as_of`` not None or whole years >= 0."""
+    if if_mode not in IF_MODES:
+        raise ValueError(f"if_mode must be one of {IF_MODES}, got {if_mode!r}")
     if as_of is not None and (
         isinstance(as_of, bool) or not isinstance(as_of, int) or as_of < 0
     ):

@@ -23,7 +23,7 @@ from .catalog import Catalog
 from .core import compute_i3, i3_auc
 from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score, json_text
-from .ledger import Ledger, citation_count, f_score, factor_table
+from .ledger import Ledger, check_scoring, citation_count, f_score, factor_table
 
 __all__ = [
     "ScoreReport",
@@ -95,6 +95,7 @@ def score_articles(
     if article_ids is None:
         article_ids = list(ledger.articles)
     table, reports = factor_table(ledger, catalog, fallback_if), []
+    check_scoring(as_of, if_mode)
     for article_id in article_ids:
         mass = f_score(ledger, catalog, article_id, as_of=as_of,
                        if_mode=if_mode, fallback_if=fallback_if)

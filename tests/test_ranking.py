@@ -216,6 +216,23 @@ a-1,cite,2017-06-01
         assert (r.category, r.phi) == ("c", 2)
         assert r.beta == catalog.beta_for("c")
 
+    @pytest.mark.parametrize("ids", [[], ["a-1"], ["ghost"]], ids=["no-ids", "one", "unknown"])
+    @pytest.mark.parametrize("options, message", [
+        ({"if_mode": "bogus"}, "if_mode must be one of ('historical', 'current'), got 'bogus'"),
+        ({"as_of": -1}, "as_of must be a whole number of years >= 0, got -1"),
+        ({"as_of": True}, "as_of must be a whole number of years >= 0, got True"),
+        ({"if_mode": "bogus", "as_of": -1},
+         "if_mode must be one of ('historical', 'current'), got 'bogus'"),
+        ({"fallback_if": math.nan, "if_mode": "bogus", "as_of": -1},
+         "fallback_if must be a finite number >= 0, got nan"),
+    ], ids=["if-mode", "negative-as-of", "bool-as-of", "if-mode-then-as-of",
+            "fallback-first"])
+    def test_bad_options_are_refused_whatever_the_ids(self, ids, options, message):
+        catalog, ledger = self.load()
+        with pytest.raises(ValueError) as error:
+            score_articles(ledger, catalog, ids, **options)
+        assert str(error.value) == message
+
 
 class TestPercentileTable:
     def test_identical_scores_collapse(self):
