@@ -168,10 +168,9 @@ def _cmd_rank(args) -> str:
         if args.matthew:
             obj["matthew"] = matthew_to_obj(matthew_comparison(ranked))
         return json_text(obj)
-    text = reports_to_csv(ranked)
     if args.matthew:
-        text += "\n" + matthew_to_csv(matthew_comparison(ranked))
-    return text
+        return "\n".join((reports_to_csv(ranked), matthew_to_csv(matthew_comparison(ranked))))
+    return reports_to_csv(ranked)
 
 
 def _cmd_dynamics(args) -> str:

@@ -1,4 +1,4 @@
-"""Number formatting and grammar, the one CSV reader and writer, the one JSON writer.
+"""Number formatting and grammar, the one CSV reader, the CSV writers, the one JSON writer.
 
 Scores print at 6 decimal places and rate coefficients at 9
 significant digits so golden-file comparisons are portable across
@@ -6,9 +6,12 @@ platforms; a score of magnitude 1e15 or more prints as JSON spells it
 (``9.010201290907242e+305``), not in hundreds of digits.  JSON output
 keeps full double precision instead.
 
-Every CSV the package reads goes through :func:`read_blocks`, and every
-CSV it writes through :func:`write_csv`: one header check, one row
-arity check, one line numbering, and one dialect (``\\n`` line ends).
+Every CSV the package reads goes through :func:`read_blocks`: one
+header check, one row arity check, one line numbering.  Every CSV it
+writes goes through :func:`write_csv` (``csv.writer``, ``\\n`` line
+ends), except the two hot stdout tables of :mod:`ranking`, which format
+each line themselves with their free-text cells through
+:func:`csv_cell`, ``csv.writer``'s quoting rule for this dialect.
 Every JSON document it writes goes through :func:`json_text`.
 
 The reader takes lines in blocks.  A block of plain lines (unquoted
@@ -165,6 +168,19 @@ def csv_field(raw: str, source: str, lineno: int) -> str:
 def write_csv(stream: IO[str], rows: Iterable[Sequence]) -> None:
     """Rows as CSV, one ``\\n``-terminated line each; ``None`` prints empty."""
     csv.writer(stream, lineterminator="\n").writerows(rows)
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as one cell of a line, as :func:`csv_text` spells it.
+
+    For the line writers that format their rows themselves; a carriage
+    return is refused, as :func:`csv_text` refuses it.
+    """
+    if "\r" in text:
+        raise ValueError("cannot write a CSV field that contains a carriage return")
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:

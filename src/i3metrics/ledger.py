@@ -413,7 +413,7 @@ def anniversary_masses(
     over the date-sorted rows.  Years out of order are refused with a
     :class:`ValueError`.
     """
-    # Years that are not whole numbers are left for _window to refuse, with its text.
+    # Years that are not whole numbers are left for _masses to refuse, in turn, with its text.
     if any(a >= b for a, b in zip(years, years[1:]) if type(a) is type(b) is int):
         raise ValueError(f"years must be strictly ascending, got {list(years)!r}")
     return _masses(ledger, catalog, article_id, years, True, fallback_if)
@@ -421,7 +421,8 @@ def anniversary_masses(
 
 def citation_count(ledger: Ledger, article_id: str, as_of: int | None = None) -> int:
     """Number of citation events, optionally truncated like :func:`f_score`."""
-    _, start, stop = _window(ledger, article_id, as_of)
+    check_scoring(as_of)
+    start, stop = window_rows(ledger, article_id, ledger.article(article_id), as_of)
     return stop - start
 
 
@@ -461,9 +462,13 @@ def _masses(
     span = _YEAR_SPAN if historical else 1  # with current IFs a key is the name rank alone
     groups: dict[int, int] = {}
     masses: list[float] = []
+    article = None
     try:
         for cutoff in cutoffs:
-            article, start, stop = _window(ledger, article_id, cutoff)
+            if cutoff is not None:
+                check_scoring(cutoff)
+            article = article or ledger.articles.get(article_id) or ledger.article(article_id)
+            start, stop = window_rows(ledger, article_id, article, cutoff)
             if not masses:
                 publisher = table.publisher(article.journal)
                 total = psi_a = (factors[publisher.base + article.publication_date.year]
@@ -500,13 +505,10 @@ def factor_table(ledger: Ledger, catalog: Catalog, fallback_if: float | None) ->
     return table
 
 
-def _window(
-    ledger: Ledger, article_id: str, as_of: int | None
-) -> tuple[ArticleRecord, int, int]:
-    """The article and the rows of its citations up to ``as_of`` years after publication."""
-    if as_of is not None:
-        check_scoring(as_of)
-    article = ledger.articles.get(article_id) or ledger.article(article_id)  # raises if unknown
+def window_rows(ledger: Ledger, article_id: str, article: ArticleRecord,
+                as_of: int | None) -> tuple[int, int]:
+    """The one window rule: ``start, stop`` of the rows of ``article``, the record
+    of ``article_id``, up to ``as_of`` years after publication (checked by the caller)."""
     start, stop = ledger.offsets[article.position], ledger.offsets[article.position + 1]
     if as_of is not None:
         if article.publication_date.year + as_of > dt.MAXYEAR:
@@ -515,7 +517,7 @@ def _window(
                 f"(published {article.publication_date}) after year {dt.MAXYEAR}")
         cutoff = shift_years(article.publication_date, as_of).toordinal()
         stop = bisect_right(ledger.days, cutoff, start, stop)
-    return article, start, stop
+    return start, stop
 
 
 def check_scoring(as_of: int | None = None, if_mode: str = "current") -> None:

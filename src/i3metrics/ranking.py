@@ -5,7 +5,9 @@ under the curve (separates articles crowding the asymptote), then raw
 citation count, then article id.  Index values are compared at 1e-12
 resolution so that scores indistinguishable at that scale fall through
 to the area tie-break.  The whole chain is a total order over distinct
-article ids, so the output never depends on input order.
+article ids, so the output never depends on input order.  :func:`rank`
+builds one column per key field and sorts on the columns, least
+significant first; the CSV writers format each line directly.
 
 The divergence summary contrasts the index ranking with a plain
 citation-count ranking: articles cited from high-impact venues can
@@ -16,14 +18,14 @@ is the intended counterweight to rich-get-richer citation dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 from typing import Sequence
 
 from .catalog import Catalog
 from .core import compute_i3, i3_auc
 from .errors import InputError
-from .formats import csv_text, fmt_beta, fmt_score, json_text
-from .ledger import Ledger, check_scoring, citation_count, f_score, factor_table
+from .formats import csv_cell, csv_text, fmt_beta, fmt_score, json_text
+from .ledger import Ledger, check_scoring, f_score, factor_table, window_rows
 
 __all__ = [
     "ScoreReport",
@@ -99,10 +101,12 @@ def score_articles(
     for article_id in article_ids:
         mass = f_score(ledger, catalog, article_id, as_of=as_of,
                        if_mode=if_mode, fallback_if=fallback_if)
-        journal = table.publisher(ledger.articles[article_id].journal)
+        article = ledger.articles[article_id]
+        journal = table.publisher(article.journal)
+        start, stop = window_rows(ledger, article_id, article, as_of)
         reports.append(ScoreReport(
             article_id, journal.category, journal.phi, journal.beta, mass,
-            compute_i3(mass, journal.beta), citation_count(ledger, article_id, as_of=as_of)))
+            compute_i3(mass, journal.beta), stop - start))
     return reports
 
 
@@ -123,14 +127,29 @@ def _citation_key(report: ScoreReport):
 def rank(reports: Sequence[ScoreReport]) -> Ranking:
     """The reports best first by index, with their citation-count ranks.
 
-    The only place ranks are computed: one sort per ranking, and no
-    report is copied.
+    The only place ranks are computed, in the orders of :func:`_index_key`
+    and :func:`_citation_key` (reports of one id tie by index position).
+    Each key field is one column, the area computed once per distinct
+    ``(f_score, beta)``; stable sorts on the columns, least significant
+    first, give both orders, and no report is copied.  The citation
+    order is sorted again only when an id repeats, which only a library
+    caller can bring about: :func:`~.ledger.load_ledger` refuses it.
     """
-    ranked = Ranking(sorted(reports, key=_index_key))
-    keys = [_citation_key(r) for r in ranked]
-    ranks = ranked.rank_citations = [0] * len(ranked)
-    for position, k in enumerate(sorted(range(len(ranked)), key=keys.__getitem__), start=1):
-        ranks[k] = position
+    n = len(reports)
+    ids = [r.article_id for r in reports]
+    counts = [r.citation_count for r in reports]
+    pairs = [(r.f_score, r.beta) for r in reports]
+    areas = {pair: i3_auc(*pair) for pair in dict.fromkeys(pairs)}
+    cited = sorted(range(n), key=ids.__getitem__)
+    cited.sort(key=counts.__getitem__, reverse=True)
+    order = sorted(cited, key=list(map(areas.__getitem__, pairs)).__getitem__, reverse=True)
+    order.sort(key=[round(r.i3, 12) for r in reports].__getitem__, reverse=True)
+    if len(set(ids)) < n:  # ``cited`` ties one id's reports by input, not index, position
+        cited = sorted(order, key=ids.__getitem__)
+        cited.sort(key=counts.__getitem__, reverse=True)
+    ranks = dict(zip(cited, count(1)))
+    ranked = Ranking(map(reports.__getitem__, order))
+    ranked.rank_citations = list(map(ranks.__getitem__, order))
     return ranked
 
 
@@ -192,12 +211,6 @@ def matthew_comparison(ranked: Ranking) -> MatthewSummary:
     return MatthewSummary(ranked, improved)
 
 
-def _matthew_rows(ranked: Ranking):
-    """One row per article, in ``MATTHEW_HEADER`` order."""
-    for r, i, c in ranked_rows(ranked):
-        yield r.article_id, i, c, c - i
-
-
 def ranked_rows(reports: Sequence[ScoreReport]):
     """``(report, rank_i3, rank_citations)`` per report; None ranks unless a :class:`Ranking`."""
     if isinstance(reports, Ranking):
@@ -206,12 +219,12 @@ def ranked_rows(reports: Sequence[ScoreReport]):
 
 
 def reports_to_csv(reports: Sequence[ScoreReport]) -> str:
-    rows = (
-        (r.article_id, r.category, r.phi, fmt_beta(r.beta), fmt_score(r.f_score),
-         fmt_score(r.i3), r.citation_count, rank_i3, rank_citations)
-        for r, rank_i3, rank_citations in ranked_rows(reports)
-    )
-    return csv_text(chain([REPORT_HEADER], rows))
+    lines = [csv_text([REPORT_HEADER])]
+    lines += [f"{csv_cell(r.article_id)},{csv_cell(r.category)},{r.phi},{fmt_beta(r.beta)},"
+              f"{fmt_score(r.f_score)},{fmt_score(r.i3)},{r.citation_count},"
+              f"{'' if rank_i3 is None else rank_i3},{'' if rank_c is None else rank_c}\n"
+              for r, rank_i3, rank_c in ranked_rows(reports)]
+    return "".join(lines)
 
 
 def report_to_obj(r: ScoreReport, rank_i3: int | None = None,
@@ -237,13 +250,13 @@ def percentile_table_to_csv(table: PercentileTable) -> str:
 def matthew_to_obj(summary: MatthewSummary) -> dict:
     return {
         "improved_by_i3_rank": summary.improved,
-        "displacements": [dict(zip(MATTHEW_HEADER, row))
-                          for row in _matthew_rows(summary.ranked)],
+        "displacements": [dict(zip(MATTHEW_HEADER, (r.article_id, i, c, c - i)))
+                          for r, i, c in ranked_rows(summary.ranked)],
     }
 
 
 def matthew_to_csv(summary: MatthewSummary) -> str:
-    return csv_text(chain(
-        [("improved_by_i3_rank", summary.improved), MATTHEW_HEADER],
-        _matthew_rows(summary.ranked),
-    ))
+    lines = [csv_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER])]
+    lines += [f"{csv_cell(r.article_id)},{i},{c},{c - i}\n"
+              for r, i, c in ranked_rows(summary.ranked)]
+    return "".join(lines)

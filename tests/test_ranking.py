@@ -5,17 +5,21 @@ import io
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from i3metrics import ledger as ledger_module, ranking
 from i3metrics.catalog import load_catalog
-from i3metrics.core import compute_beta, compute_i3, solve_beta
+from i3metrics.core import compute_beta, compute_i3, i3_auc, solve_beta
 from i3metrics.errors import InputError
-from i3metrics.ledger import load_ledger
+from i3metrics.formats import csv_cell, csv_text, fmt_beta, fmt_score
+from i3metrics.ledger import citation_count, f_score, load_ledger
 from i3metrics.ranking import (
+    MATTHEW_HEADER,
     REPORT_HEADER,
     Ranking,
     ScoreReport,
@@ -80,7 +84,49 @@ tied_reports = st.lists(
                     for article_id, f, beta, n in rows])
 
 
+def tuple_sort_rank(reports):
+    """``rank()`` written as one tuple sort per order, as the reference for its column sorts."""
+    ranked = Ranking(sorted(reports, key=_index_key))
+    keys = [_citation_key(r) for r in ranked]
+    ranks = ranked.rank_citations = [0] * len(ranked)
+    for position, k in enumerate(sorted(range(len(ranked)), key=keys.__getitem__), start=1):
+        ranks[k] = position
+    return ranked
+
+
+# Few ids, so that reports of one id often tie on (citations, id) and only
+# their index position tells their citation ranks apart.
+repeated_id_reports = st.lists(
+    st.tuples(st.text(alphabet="ab", min_size=1, max_size=2),
+              st.sampled_from(TIE_MASSES) | st.floats(min_value=0.0, max_value=1e6),
+              st.sampled_from(TIE_BETAS),
+              st.integers(min_value=0, max_value=3)),
+    max_size=30,
+).map(lambda rows: [report(article_id, f, beta=beta, citations=n)
+                    for article_id, f, beta, n in rows])
+
+
 class TestRank:
+    @given(repeated_id_reports)
+    def test_matches_the_tuple_sort_with_repeated_ids(self, reports):
+        ranked, expected = rank(reports), tuple_sort_rank(reports)
+        assert len(ranked) == len(expected)
+        assert all(r is e for r, e in zip(ranked, expected))
+        assert ranked.rank_citations == expected.rank_citations
+
+    def test_each_area_is_computed_once_per_mass_and_coefficient(self, monkeypatch):
+        calls = Counter()
+
+        def counted(f, beta):
+            calls[f, beta] += 1
+            return i3_auc(f, beta)
+
+        monkeypatch.setattr(ranking, "i3_auc", counted)
+        pairs = [(6.0, BETA), (0.0, BETA), (6.0, BETA), (6.0, 0.003), (0.0, BETA), (6.0, BETA)]
+        ranked = rank([report(f"a-{k}", f, beta=beta) for k, (f, beta) in enumerate(pairs)])
+        assert calls == {(6.0, BETA): 1, (0.0, BETA): 1, (6.0, 0.003): 1}
+        assert [r.article_id for r in ranked] == ["a-3", "a-0", "a-2", "a-5", "a-1", "a-4"]
+
     def test_larger_mass_outranks(self):
         ranked = rank([report("low", 10.0), report("high", 20.0)])
         assert [(r.article_id, i) for r, i, _ in ranked_rows(ranked)] == [("high", 1), ("low", 2)]
@@ -204,6 +250,30 @@ a-1,cite,2017-06-01
         truncated = score_articles(ledger, catalog, ["a-1"], as_of=1)[0]
         assert truncated.f_score == 6.0
         assert truncated.citation_count == 1
+
+    @pytest.mark.parametrize("as_of", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("if_mode", ["current", "historical"])
+    def test_counts_are_those_of_citation_count(self, as_of, if_mode):
+        catalog, ledger = self.load()
+        reports = score_articles(ledger, catalog, as_of=as_of, if_mode=if_mode)
+        assert [r.citation_count for r in reports] == \
+            [citation_count(ledger, a, as_of=as_of) for a in ledger.articles]
+
+    def test_options_are_checked_once_beyond_each_f_score(self, monkeypatch):
+        catalog, ledger = self.load()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        check = ledger_module.check_scoring
+        monkeypatch.setattr(ledger_module, "check_scoring", counted)
+        monkeypatch.setattr(ranking, "check_scoring", counted)
+        f_score(ledger, catalog, "a-1", as_of=1)
+        per_article, calls[:] = len(calls), []
+        score_articles(ledger, catalog, ["a-1", "a-2"], as_of=1)
+        assert len(calls) == 1 + 2 * per_article
 
     def test_unknown_article(self):
         catalog, ledger = self.load()
@@ -371,12 +441,19 @@ class TestSerialization:
 
     @given(st.lists(st.tuples(st.text(), st.text(), st.integers(min_value=0, max_value=50)),
                     min_size=2, max_size=8, unique_by=lambda row: row[0]))
+    @example([("a\rb", "c", 1), ("b", "c", 2)])
+    @example([("a", "\r", 1), ("\r\n", "c", 2)])
     def test_csv_fields_round_trip(self, rows):
         ranked = rank([report(article_id, 10.0, category=category, citations=n)
                        for article_id, category, n in rows])
         if any("\r" in article_id + category for article_id, category, _ in rows):
             with pytest.raises(ValueError, match="carriage return"):
                 reports_to_csv(ranked)
+            with pytest.raises(ValueError, match="carriage return"):
+                reports_to_csv(list(ranked))  # unranked
+            if any("\r" in article_id for article_id, _, _ in rows):
+                with pytest.raises(ValueError, match="carriage return"):
+                    matthew_to_csv(matthew_comparison(ranked))
             return
         table = list(csv.reader(io.StringIO(reports_to_csv(ranked), newline="")))
         assert table[0] == REPORT_HEADER
@@ -386,3 +463,29 @@ class TestSerialization:
         table = list(csv.reader(io.StringIO(summary, newline="")))
         assert table[2:] == [[r.article_id, str(i), str(c), str(c - i)]
                              for i, (r, c) in enumerate(zip(ranked, ranked.rank_citations), 1)]
+
+
+# Commas, quotes, line feeds, spaces, NUL, non-ASCII, and the empty string.
+free_text = st.text(alphabet='ab ,"\n\0é', max_size=4)
+
+
+class TestLineWriters:
+    """The cell quoting and the CSV line writers against ``csv_text`` (``csv.writer``)."""
+
+    @given(st.lists(st.tuples(free_text, free_text, st.integers(min_value=0, max_value=50),
+                              st.sampled_from([0.0, 6.0, 1e20])),
+                    min_size=2, max_size=8))
+    def test_lines_are_those_of_csv_writer(self, rows):
+        for article_id, category, _, _ in rows:
+            assert f"{csv_cell(article_id)},{csv_cell(category)}\n" == csv_text([(article_id, category)])
+        reports = [report(article_id, f, category=category, citations=n)
+                   for article_id, category, n, f in rows]
+        ranked = rank(reports)
+        for reports_in in (reports, ranked):  # None ranks print empty
+            assert reports_to_csv(reports_in) == csv_text([REPORT_HEADER] + [
+                (r.article_id, r.category, r.phi, fmt_beta(r.beta), fmt_score(r.f_score),
+                 fmt_score(r.i3), r.citation_count, i, c) for r, i, c in ranked_rows(reports_in)])
+        summary = matthew_comparison(ranked)
+        assert matthew_to_csv(summary) == csv_text(
+            [("improved_by_i3_rank", summary.improved), MATTHEW_HEADER]
+            + [(r.article_id, i, c, c - i) for r, i, c in ranked_rows(ranked)])
