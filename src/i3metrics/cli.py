@@ -7,6 +7,10 @@ flags; the only randomness lives behind the mandatory seed of ``gen``.
 Exit codes: 0 on success, 1 on input or validation errors (malformed
 CSV rows, inconsistent flags, unknown article ids), 2 when a journal
 or an impact-factor year cannot be resolved against the catalog.
+
+A handler returns one string, or a tuple of pieces that :func:`main`
+writes unjoined.  Nothing is written until every piece is built and
+encodes on stdout, so a non-zero exit leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -136,7 +140,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        sys.stdout.write(args.handler(args))
+        pieces = args.handler(args)
+        pieces = (pieces,) if isinstance(pieces, str) else pieces
+        if encoding := getattr(sys.stdout, "encoding", None):  # io.StringIO has none
+            for piece in pieces:
+                piece.encode(encoding, sys.stdout.errors or "strict")
+        sys.stdout.writelines(pieces)
         return 0
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -161,7 +170,7 @@ def _cmd_score(args) -> str:
     return reports_to_csv(reports)
 
 
-def _cmd_rank(args) -> str:
+def _cmd_rank(args) -> str | tuple[str, ...]:
     ranked = rank(_score(args, None))
     if args.format == "json":
         obj = {"ranking": [report_to_obj(*row) for row in ranked_rows(ranked)]}
@@ -169,7 +178,7 @@ def _cmd_rank(args) -> str:
             obj["matthew"] = matthew_to_obj(matthew_comparison(ranked))
         return json_text(obj)
     if args.matthew:
-        return "\n".join((reports_to_csv(ranked), matthew_to_csv(matthew_comparison(ranked))))
+        return reports_to_csv(ranked), "\n", matthew_to_csv(matthew_comparison(ranked))
     return reports_to_csv(ranked)
 
 

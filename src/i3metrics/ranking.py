@@ -7,7 +7,8 @@ resolution so that scores indistinguishable at that scale fall through
 to the area tie-break.  The whole chain is a total order over distinct
 article ids, so the output never depends on input order.  :func:`rank`
 builds one column per key field and sorts on the columns, least
-significant first; the CSV writers format each line directly.
+significant first; the CSV writers format each line directly and join
+the lines 1,024 at a time, never a whole table's line strings at once.
 
 The divergence summary contrasts the index ranking with a plain
 citation-count ranking: articles cited from high-impact venues can
@@ -18,7 +19,7 @@ is the intended counterweight to rich-get-richer citation dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Sequence
 
 from .catalog import Catalog
@@ -57,6 +58,8 @@ MATTHEW_HEADER = ["article_id", "rank_i3", "rank_citations", "displacement"]
 PERCENTILE_LEVELS = (50, 75, 90, 95, 99)
 
 MIN_PERCENTILE_SAMPLE = 20
+
+_CHUNK_LINES = 1024  # lines per joined piece of a CSV table
 
 
 @dataclass(slots=True)
@@ -218,13 +221,17 @@ def ranked_rows(reports: Sequence[ScoreReport]):
     return ((r, None, None) for r in reports)
 
 
+def _chunked(head: str, lines) -> str:
+    """``head``, then the ``lines`` iterator joined :data:`_CHUNK_LINES` at a time."""
+    return "".join([head, *iter(lambda: "".join(islice(lines, _CHUNK_LINES)), "")])
+
+
 def reports_to_csv(reports: Sequence[ScoreReport]) -> str:
-    lines = [csv_text([REPORT_HEADER])]
-    lines += [f"{csv_cell(r.article_id)},{csv_cell(r.category)},{r.phi},{fmt_beta(r.beta)},"
-              f"{fmt_score(r.f_score)},{fmt_score(r.i3)},{r.citation_count},"
-              f"{'' if rank_i3 is None else rank_i3},{'' if rank_c is None else rank_c}\n"
-              for r, rank_i3, rank_c in ranked_rows(reports)]
-    return "".join(lines)
+    return _chunked(csv_text([REPORT_HEADER]), (
+        f"{csv_cell(r.article_id)},{csv_cell(r.category)},{r.phi},{fmt_beta(r.beta)},"
+        f"{fmt_score(r.f_score)},{fmt_score(r.i3)},{r.citation_count},"
+        f"{'' if rank_i3 is None else rank_i3},{'' if rank_c is None else rank_c}\n"
+        for r, rank_i3, rank_c in ranked_rows(reports)))
 
 
 def report_to_obj(r: ScoreReport, rank_i3: int | None = None,
@@ -256,7 +263,6 @@ def matthew_to_obj(summary: MatthewSummary) -> dict:
 
 
 def matthew_to_csv(summary: MatthewSummary) -> str:
-    lines = [csv_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER])]
-    lines += [f"{csv_cell(r.article_id)},{i},{c},{c - i}\n"
-              for r, i, c in ranked_rows(summary.ranked)]
-    return "".join(lines)
+    return _chunked(csv_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER]), (
+        f"{csv_cell(r.article_id)},{i},{c},{c - i}\n"
+        for r, i, c in ranked_rows(summary.ranked)))

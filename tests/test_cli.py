@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import i3metrics
+from i3metrics import cli
 from i3metrics.cli import main
 from i3metrics.core import compute_beta, compute_i3
 
@@ -26,6 +27,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def ascii_stdout_run(monkeypatch, *argv):
+    """Exit code and stdout bytes of ``main`` writing to an ASCII-only stdout."""
+    buffer = io.BytesIO()
+    stream = io.TextIOWrapper(buffer, encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = main(list(argv))
+    stream.flush()
+    return code, buffer.getvalue()
 
 
 def write(path, text):
@@ -413,6 +424,40 @@ class TestRank:
         assert rows[1][:2] == ["a,1", "Biology, Marine"]
         assert all(len(row) == 9 for row in rows[:3])
         assert ["a,1", "1", "1", "0"] in rows
+
+    def test_unencodable_output_leaves_stdout_empty(self, capsys, monkeypatch, tmp_path):
+        # Uncited articles of one journal tie down to the id, and "é" sorts
+        # after "a", so the non-ASCII id is past the first chunk of each table.
+        ids = [f"a-{k:04d}" for k in range(2048)] + ["é-1"]
+        argv = make_corpus(tmp_path, 3, {"home": "2.0"},
+                           "article_id,journal,publication_date\n"
+                           + "".join(f"{i},home,2015-01-01\n" for i in ids), [])
+        code, out, _ = run(capsys, "rank", *argv, "--matthew")
+        assert code == 0
+        assert [n for n, line in enumerate(out.splitlines()) if "é" in line] == [2049, 4101]
+        assert ascii_stdout_run(monkeypatch, "rank", *argv, "--matthew") == (1, b"")
+        assert capsys.readouterr().err.startswith("error: 'ascii' codec can't encode")
+
+    def test_unencodable_second_table_leaves_stdout_empty(self, capsys, monkeypatch, data):
+        # The first table encodes, so only the check before writing keeps it off stdout.
+        matthew_to_csv = cli.matthew_to_csv
+        monkeypatch.setattr(cli, "matthew_to_csv", lambda summary: matthew_to_csv(summary) + "é\n")
+        assert ascii_stdout_run(monkeypatch, "rank", *data, "--matthew") == (1, b"")
+        assert capsys.readouterr().err.startswith("error: 'ascii' codec can't encode")
+
+    def test_a_failure_after_the_first_table_leaves_stdout_empty(self, capsys, monkeypatch,
+                                                                 data):
+        tables, reports_to_csv = [], cli.reports_to_csv
+
+        def refuse(summary):
+            raise ValueError(f"refused after {len(tables)} table")
+
+        monkeypatch.setattr(cli, "reports_to_csv",
+                            lambda ranked: tables.append(reports_to_csv(ranked)) or tables[-1])
+        monkeypatch.setattr(cli, "matthew_to_csv", refuse)
+        code, out, err = run(capsys, "rank", *data, "--matthew")
+        assert code == 1 and out == ""
+        assert err == "error: refused after 1 table\n"
 
 
 # -- dynamics ----------------------------------------------------------

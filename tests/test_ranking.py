@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 
@@ -469,6 +470,24 @@ class TestSerialization:
 free_text = st.text(alphabet='ab ,"\n\0é', max_size=4)
 
 
+def csv_writer_reports(reports):
+    """``reports_to_csv`` as ``csv.writer`` prints it."""
+    return csv_text([REPORT_HEADER] + [
+        (r.article_id, r.category, r.phi, fmt_beta(r.beta), fmt_score(r.f_score),
+         fmt_score(r.i3), r.citation_count, i, c) for r, i, c in ranked_rows(reports)])
+
+
+def csv_writer_matthew(summary):
+    """``matthew_to_csv`` as ``csv.writer`` prints it."""
+    return csv_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER]
+                    + [(r.article_id, i, c, c - i) for r, i, c in ranked_rows(summary.ranked)])
+
+
+# Cells that need quoting: a comma, a quote, a line feed; and a non-ASCII one.
+NEEDS_CARE = ("a,{}", 'q"{}', "l\n{}", "é{}")
+CHUNK = ranking._CHUNK_LINES
+
+
 class TestLineWriters:
     """The cell quoting and the CSV line writers against ``csv_text`` (``csv.writer``)."""
 
@@ -482,10 +501,46 @@ class TestLineWriters:
                    for article_id, category, n, f in rows]
         ranked = rank(reports)
         for reports_in in (reports, ranked):  # None ranks print empty
-            assert reports_to_csv(reports_in) == csv_text([REPORT_HEADER] + [
-                (r.article_id, r.category, r.phi, fmt_beta(r.beta), fmt_score(r.f_score),
-                 fmt_score(r.i3), r.citation_count, i, c) for r, i, c in ranked_rows(reports_in)])
+            assert reports_to_csv(reports_in) == csv_writer_reports(reports_in)
         summary = matthew_comparison(ranked)
-        assert matthew_to_csv(summary) == csv_text(
-            [("improved_by_i3_rank", summary.improved), MATTHEW_HEADER]
-            + [(r.article_id, i, c, c - i) for r, i, c in ranked_rows(ranked)])
+        assert matthew_to_csv(summary) == csv_writer_matthew(summary)
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2])
+    def test_lines_across_chunk_boundaries(self, n):
+        near = {k + d for k in range(0, n + 1, CHUNK) for d in (-1, 0, 1)}
+        # Falling masses rank the reports in list order, so the cells that
+        # need care sit on the lines just before, at and after each boundary.
+        reports = [report(NEEDS_CARE[k % 4].format(k) if k in near else f"a-{k}", float(n - k),
+                          category=NEEDS_CARE[k % 4].format("c") if k in near else "c",
+                          citations=k % 5)
+                   for k in range(n)]
+        ranked = rank(reports)
+        assert ranked == reports
+        for reports_in in (reports, ranked):
+            assert reports_to_csv(reports_in) == csv_writer_reports(reports_in)
+        summary = matthew_comparison(ranked)
+        assert matthew_to_csv(summary) == csv_writer_matthew(summary)
+
+    def test_empty_selection_is_the_header(self):
+        assert reports_to_csv([]) == reports_to_csv(rank([])) == csv_text([REPORT_HEADER])
+
+    def test_writers_hold_about_twice_their_text(self):
+        # Joined at once, every line string lives beside the text: 3x its
+        # length, over 4x for the short Matthew lines.  Joined a chunk at a
+        # time, the chunks and the text: 2x.
+        reports = [report(f"a-{k:05d}", k * 0.37, category=f"c-{k % 7}", citations=k % 13)
+                   for k in range(5000)]
+        ranked = rank(reports)
+        calls = [(reports_to_csv, ranked), (reports_to_csv, reports),
+                 (matthew_to_csv, matthew_comparison(ranked))]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for writer, arg in calls:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                size = len(writer(arg))
+                assert tracemalloc.get_traced_memory()[1] - before <= 2.5 * size, writer
+        finally:
+            if not tracing:
+                tracemalloc.stop()
