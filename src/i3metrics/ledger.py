@@ -18,17 +18,20 @@ impact factors are non-negative and groups are summed in a fixed
 order, a truncated mass never exceeds the full one, even in floating
 point.
 
-Every mass comes from one routine, :func:`_masses`, which walks an
-article's date-sorted rows once and reports the mass at several
-ascending cutoffs, each window a prefix of the next: :func:`f_score`
-asks for one cutoff, :func:`anniversary_masses` for several
-anniversaries, :func:`validate_truncation` for a truncated window and
-the full history.  Errors surface as if each cutoff were scored on its
-own, in turn: a bad ``fallback_if``, a bad ``as_of``, an unknown
-article id, the publishing journal, uncatalogued citing journals, the
-first failing impact factor in sorted key order, then overflow.  The
-factors come from the ledger's factor table (see :class:`Ledger`), so
-each is resolved once per catalog and ``fallback_if``, not per article.
+Every mass comes from one routine, :func:`_masses`, which reports the
+mass of an article at several ascending cutoffs, each window a prefix
+of the next: :func:`f_score` asks for one cutoff,
+:func:`anniversary_masses` for several anniversaries,
+:func:`validate_truncation` for a truncated window and the full
+history.  Each cutoff whose window grew sorts the window's group keys
+and walks them once, adding each run of equal keys as ``run length *
+factor`` onto the publishing IF.  Errors surface as if each cutoff were
+scored on its own, in turn: a bad ``fallback_if``, a bad ``as_of``, an
+unknown article id, the publishing journal, uncatalogued citing
+journals, the first failing impact factor in sorted key order, then
+overflow.  The factors come from the ledger's factor table (see
+:class:`Ledger`), so each is resolved once per catalog and
+``fallback_if``, not per article.
 """
 
 from __future__ import annotations
@@ -102,20 +105,23 @@ class _Factors(dict):
     """Impact factors of a ledger's journals under one catalog and ``fallback_if``.
 
     ``records`` and ``current`` hold the catalog record (None if
-    uncatalogued) and current IF of each rank in ``Ledger.names``; a
-    publishing journal no row cites takes the next rank.  The dict (group
-    key -> historical IF) and ``publishers`` (spelling -> entry) fill on
-    first use, and a lookup that raises stores nothing.
+    uncatalogued) and current IF of each rank in ``Ledger.names``, and
+    ``unknown`` the ranks whose record is None; a publishing journal no
+    row cites takes the next rank.  The dict (group key -> historical
+    IF) and ``publishers`` (spelling -> entry) fill on first use, and a
+    lookup that raises stores nothing.
     """
 
-    __slots__ = ("catalog", "fallback_if", "ranks", "records", "current", "publishers")
+    __slots__ = ("catalog", "fallback_if", "ranks", "records", "unknown", "current",
+                 "publishers")
 
     def __init__(self, names: list[str], catalog: Catalog, fallback_if: float | None):
-        if fallback_if is not None and not 0.0 <= fallback_if < math.inf:
+        if fallback_if is not None and not _finite_factor(fallback_if):
             raise ValueError(f"fallback_if must be a finite number >= 0, got {fallback_if!r}")
         self.catalog, self.fallback_if, self.publishers = catalog, fallback_if, {}
         self.ranks = dict(zip(names, count()))
         self.records = list(map(catalog.journals.get, names))
+        self.unknown = {rank for rank, record in enumerate(self.records) if record is None}
         self.current = [fallback_if if r is None else r.latest_if() for r in self.records]
 
     def __missing__(self, key: int) -> float:
@@ -388,10 +394,11 @@ def f_score(
     after publication.  Citing journals missing from the catalog abort
     the scoring with a :class:`ResolutionError` listing them, unless
     ``fallback_if`` supplies a stand-in impact factor; the publishing
-    journal must always resolve.  A ``fallback_if`` that is not finite
-    and >= 0 is refused, as is a mass that overflows a double, with a
-    :class:`ValueError`.  The mass is the one cutoff of :func:`_masses`;
-    the module docstring gives the order of the errors.
+    journal must always resolve.  A ``fallback_if`` that is a bool, not
+    a number, or not a finite double >= 0 is refused, as is a mass that
+    overflows a double, with a :class:`ValueError`.  The mass is the one
+    cutoff of :func:`_masses`; the module docstring gives the order of
+    the errors.
     """
     check_scoring(if_mode=if_mode)
     return _masses(ledger, catalog, article_id, (as_of,), if_mode == "historical",
@@ -409,9 +416,8 @@ def anniversary_masses(
 
     Equal, float for float and error for error, to calling
     :func:`f_score` with ``as_of=t`` and ``if_mode="historical"`` for
-    each ``t`` in turn, but computed by :func:`_masses` in one pass
-    over the date-sorted rows.  Years out of order are refused with a
-    :class:`ValueError`.
+    each ``t`` in turn, but computed by one :func:`_masses` call.  Years
+    out of order are refused with a :class:`ValueError`.
     """
     # Years that are not whole numbers are left for _masses to refuse, in turn, with its text.
     if any(a >= b for a, b in zip(years, years[1:]) if type(a) is type(b) is int):
@@ -451,16 +457,17 @@ def _masses(
 ) -> list[float]:
     """Mass of one article at each of the ascending ``cutoffs`` (``None``: full history).
 
-    One group count (citing journal, and year when IFs are historical)
-    grows between cutoffs, and every factor comes from the ledger's
-    factor table.  Every cutoff adds ``count * factor`` onto the
-    publishing IF over the sorted keys, journal first, then year, and
-    raises the errors in the order the module docstring gives.
+    A cutoff whose window grew sorts the whole window's group keys
+    (citing journal, and year when IFs are historical), journal first,
+    then year, and walks them once, adding ``run length * factor`` for
+    each run of equal keys onto the publishing IF; a cutoff that adds no
+    rows repeats the last mass.  Every factor comes from the ledger's
+    factor table, and the errors come in the order the module docstring
+    gives.
     """
     table = factor_table(ledger, catalog, fallback_if)
     factors = table if historical else table.current
-    span = _YEAR_SPAN if historical else 1  # with current IFs a key is the name rank alone
-    groups: dict[int, int] = {}
+    unknown = table.unknown if fallback_if is None else None
     masses: list[float] = []
     article = None
     try:
@@ -475,19 +482,21 @@ def _masses(
                                  if historical else publisher.current_if)
                 counted = start
             if stop > counted:
-                rows = ledger.groups[counted:stop]
-                keys = rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows)
-                for key in keys:
-                    groups[key] = groups.get(key, 0) + 1
                 counted = stop
-                if fallback_if is None:
-                    unknown = sorted({key // span for key in groups
-                                      if table.records[key // span] is None})
-                    if unknown:
-                        raise _uncatalogued(ledger, start, stop, unknown)
-                total = psi_a
-                for key in sorted(groups):
-                    total += groups[key] * factors[key]
+                rows = ledger.groups[start:stop]
+                # With current IFs a key is the name rank alone.
+                keys = sorted(rows) if historical else sorted(map(_YEAR_SPAN.__rfloordiv__, rows))
+                if unknown and not unknown.isdisjoint(
+                        map(_YEAR_SPAN.__rfloordiv__, keys) if historical else keys):
+                    raise _uncatalogued(ledger, start, stop, unknown)
+                total, run, n = psi_a, keys[0], 0
+                for key in keys:
+                    if key == run:
+                        n += 1
+                    else:
+                        total += n * factors[run]
+                        run, n = key, 1
+                total += n * factors[run]
                 if total == math.inf:
                     raise ValueError(f"article {article_id!r}: citation mass overflows a "
                                      f"double (impact factors too large)")
@@ -498,9 +507,14 @@ def _masses(
 
 
 def factor_table(ledger: Ledger, catalog: Catalog, fallback_if: float | None) -> _Factors:
-    """The ledger's factor table, rebuilt (and ``fallback_if`` checked) on a new key."""
+    """The ledger's factor table, rebuilt (and ``fallback_if`` checked) on a new key.
+
+    A ``fallback_if`` of another type is a new key, so that ``True`` is
+    refused even after ``1``.
+    """
     table = ledger._factors
-    if table is None or table.catalog is not catalog or table.fallback_if != fallback_if:
+    if (table is None or table.catalog is not catalog or table.fallback_if != fallback_if
+            or type(table.fallback_if) is not type(fallback_if)):
         table = ledger._factors = _Factors(ledger.names, catalog, fallback_if)
     return table
 
@@ -530,13 +544,24 @@ def check_scoring(as_of: int | None = None, if_mode: str = "current") -> None:
         raise ValueError(f"as_of must be a whole number of years >= 0, got {as_of!r}")
 
 
-def _uncatalogued(ledger: Ledger, start: int, stop: int, ranks: list[int]) -> ResolutionError:
-    """The error listing uncatalogued citing journals by their first spelling in the rows."""
+def _finite_factor(value) -> bool:
+    """Whether ``value`` is a number, not a bool, >= 0 and finite as a double."""
+    if isinstance(value, bool):
+        return False
+    try:
+        return 0 <= value and value + 0.0 < math.inf
+    except (TypeError, ValueError, OverflowError):  # not a number, or too large for a double
+        return False
+
+
+def _uncatalogued(ledger: Ledger, start: int, stop: int, unknown: set[int]) -> ResolutionError:
+    """The error listing the ``unknown`` citing journals in the rows, in name order,
+    each by its first spelling there."""
     first: dict[int, str] = {}
     for s, key in zip(ledger.spelled[start:stop], ledger.groups[start:stop]):
         first.setdefault(key // _YEAR_SPAN, ledger.spellings[s])
     return ResolutionError("citing journals not in catalog: "
-                           + ", ".join(first[rank] for rank in ranks))
+                           + ", ".join(first[rank] for rank in sorted(unknown.intersection(first))))
 
 
 def _intern_spelling(raw: str, ids: dict[str, int], spellings: list[str],

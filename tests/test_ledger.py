@@ -4,6 +4,8 @@ import csv
 import datetime as dt
 import io
 import random
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -15,6 +17,7 @@ from i3metrics import ledger as ledger_module
 from i3metrics.catalog import load_catalog
 from i3metrics.errors import InputError, ResolutionError
 from i3metrics.ledger import (
+    anniversary_masses,
     citation_count,
     f_score,
     load_ledger,
@@ -294,6 +297,35 @@ class TestUnknownCitingJournals:
             f_score(ledger, catalog, "x", fallback_if=2.0)
 
 
+class TestFallbackType:
+    @pytest.mark.parametrize("fallback", [True, False, "1", 10**400, Fraction(10**400),
+                                          Fraction(-1, 10**400), Decimal("1"), 1j])
+    def test_a_fallback_that_is_not_a_finite_double_is_refused(self, fallback):
+        catalog, ledger = load(citations_text=TestUnknownCitingJournals.CITATIONS)
+        message = f"fallback_if must be a finite number >= 0, got {fallback!r}"
+        calls = [
+            lambda: f_score(ledger, catalog, "art-1", fallback_if=fallback),
+            lambda: f_score(ledger, catalog, "art-1", if_mode="historical", fallback_if=fallback),
+            lambda: anniversary_masses(ledger, catalog, "art-1", [1, 2], fallback),
+            lambda: validate_truncation(ledger, catalog, "art-1", 1, fallback),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize("valid, invalid", [(1, True), (0.0, False)])
+    def test_a_bool_is_refused_after_the_number_it_equals(self, valid, invalid):
+        catalog, ledger = load(citations_text=TestUnknownCitingJournals.CITATIONS)
+        assert f_score(ledger, catalog, "art-1", fallback_if=valid) == 17.5 + 2 * valid
+        with pytest.raises(ValueError, match="fallback_if must be a finite number"):
+            f_score(ledger, catalog, "art-1", fallback_if=invalid)
+
+    def test_an_exact_fraction_is_accepted(self):
+        catalog, ledger = load(citations_text=TestUnknownCitingJournals.CITATIONS)
+        assert f_score(ledger, catalog, "art-1", fallback_if=Fraction(9, 4)) == 17.5 + 2 * 2.25
+
+
 # -- generated-ledger properties ---------------------------------------
 #
 # Impact factors are multiples of 0.25 and event counts are small, so
@@ -358,6 +390,82 @@ def test_removing_one_event_drops_exactly_its_if(ifs, events, data):
     catalog2, ledger2 = build(ifs, events[:index] + events[index + 1:])
     removed_if = ifs[events[index][0] % len(ifs)]
     assert full - f_score(ledger2, catalog2, "a") == removed_if
+
+
+# -- long runs of one group against the dict-count reference -----------
+
+def dict_count_masses(ledger, catalog, article_id, cutoffs, historical, fallback_if):
+    """Masses by the loop the sorted-run walk replaced: a group count that
+    grows between cutoffs, summed over its sorted keys onto the publishing IF."""
+    table = ledger_module.factor_table(ledger, catalog, fallback_if)
+    factors = table if historical else table.current
+    span = ledger_module._YEAR_SPAN
+    article = ledger.articles[article_id]
+    publisher = table.publisher(article.journal)
+    total = psi_a = (factors[publisher.base + article.publication_date.year]
+                     if historical else publisher.current_if)
+    groups, masses, counted = {}, [], None
+    for cutoff in cutoffs:
+        start, stop = ledger_module.window_rows(ledger, article_id, article, cutoff)
+        counted = start if counted is None else counted
+        if stop > counted:
+            rows = ledger.groups[counted:stop]
+            for key in (rows if historical else map(span.__rfloordiv__, rows)):
+                groups[key] = groups.get(key, 0) + 1
+            counted = stop
+            total = psi_a
+            for key in sorted(groups):
+                total += groups[key] * factors[key]
+        masses.append(total)
+    return masses
+
+
+# Factors in thousandths, so that sums round and their order shows.
+thousandths = st.integers(min_value=1, max_value=50_000).map(lambda k: k / 1000)
+
+
+@st.composite
+def long_run_articles(draw):
+    """A catalog, one article and its citations, with runs of over 12 rows of one
+    journal and year at both the first and the last sorted group key."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    history = {k: draw(st.dictionaries(st.integers(min_value=2011, max_value=2028), thousandths,
+                                       max_size=4)) for k in range(n)}
+    catalog_text = "category,journal,issn,year,impact_factor\n" + "".join(
+        f"c,j-{k},,{year},{value}\n"
+        for k in range(n)
+        for year, value in sorted({2010: draw(thousandths), **history[k]}.items()))
+    fallback = draw(st.sampled_from([None, 1.0]) | thousandths)
+    # The ghost is uncatalogued and sorts after every j-k.
+    last = "z-ghost" if fallback is not None and draw(st.booleans()) else f"j-{n - 1}"
+    published = dt.date(2015, 6, 15)
+    rows = [("j-0", published + dt.timedelta(days=draw(st.integers(0, 199))))
+            for _ in range(draw(st.integers(min_value=13, max_value=60)))]
+    journals = [f"j-{k}" for k in range(n)] + ["z-ghost"] * (fallback is not None)
+    rows += [(draw(st.sampled_from(journals)), published + dt.timedelta(days=offset))
+             for offset in draw(st.lists(st.integers(0, 4000), max_size=40))]
+    rows += [(last, dt.date(2026, 6, 1) + dt.timedelta(days=draw(st.integers(0, 200))))
+             for _ in range(draw(st.integers(min_value=13, max_value=60)))]
+    rows = draw(st.permutations(rows))
+    articles_text = f"article_id,journal,publication_date\na,j-0,{published}\n"
+    citations_text = "article_id,citing_journal,citation_date\n" + "".join(
+        f"a,{journal},{day}\n" for journal, day in rows)
+    return catalog_text, articles_text, citations_text, fallback
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_run_articles(), st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+       st.lists(st.integers(min_value=0, max_value=13), min_size=1, max_size=8, unique=True))
+def test_long_runs_sum_like_the_dict_count(case, as_of, years):
+    *texts, fallback = case
+    catalog, ledger = load(*texts)
+    for historical in (False, True):
+        mode = "historical" if historical else "current"
+        assert f_score(ledger, catalog, "a", as_of=as_of, if_mode=mode, fallback_if=fallback) \
+            == dict_count_masses(ledger, catalog, "a", [as_of], historical, fallback)[0]
+    years.sort()
+    assert anniversary_masses(ledger, catalog, "a", years, fallback) == dict_count_masses(
+        ledger, catalog, "a", years, True, fallback)
 
 
 # -- plain and quoted files load to equal ledgers ----------------------
