@@ -9,10 +9,12 @@ keeps full double precision instead.
 Every CSV the package reads goes through :func:`read_blocks`: one
 header check, one row arity check, one line numbering.  Every CSV it
 writes goes through :func:`write_csv` (``csv.writer``, ``\\n`` line
-ends), except the two hot stdout tables of :mod:`ranking`, which format
-each line themselves with their free-text cells through
-:func:`csv_cell`, ``csv.writer``'s quoting rule for this dialect.
-Every JSON document it writes goes through :func:`json_text`.
+ends), except the two hot stdout tables of :mod:`ranking` and the three
+files of :mod:`generate`.  The tables format each line themselves, with
+their free-text cells through :func:`csv_cell`, ``csv.writer``'s
+quoting rule for this dialect.  The generator formats its lines
+directly: it builds every field from ASCII letters, digits, ``-``,
+``.`` and ``_``, none of which ``csv.writer`` quotes.  Every JSON document it writes goes through :func:`json_text`.
 
 The reader takes lines in blocks.  A block of plain lines (unquoted
 cells, the header's number of commas, a line feed at the end, no

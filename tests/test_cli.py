@@ -7,6 +7,7 @@ code plus captured stdout/stderr, exactly what a shell user sees.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -828,6 +829,49 @@ class TestParsing:
 
 
 # -- error contract ----------------------------------------------------
+
+class TestCollector:
+    """``main`` runs without the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
+    def ghost(self, tmp_path, data):
+        argv = list(data)
+        argv[5] = write(tmp_path / "ghost.csv", GHOST_CITATIONS)
+        return argv
+
+    @pytest.mark.parametrize("expected", [0, 1, 2])
+    def test_state_is_restored(self, capsys, tmp_path, data, collector, expected):
+        argv = {0: ["score", *data, "a-1"],
+                1: ["score", *data, "a-9"],
+                2: ["score", *self.ghost(tmp_path, data), "a-1"]}[expected]
+        seen = []
+        handler = cli._cmd_score
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return handler(args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_cmd_score", spy)
+            code, _, _ = run(capsys, *argv)
+        assert code == expected
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_state_is_restored_on_system_exit(self, capsys, collector):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        capsys.readouterr()
+        assert gc.isenabled() is collector
+
 
 class TestErrorLines:
     @pytest.mark.parametrize("name, text, message", [

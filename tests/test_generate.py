@@ -1,13 +1,20 @@
 """Tests for the seeded synthetic corpus generator."""
 
+import datetime as dt
 import hashlib
 import random
+import tracemalloc
+from collections import Counter
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
-from i3metrics.catalog import catalog_stats, load_catalog
-from i3metrics.generate import _below, generate_corpus
-from i3metrics.ledger import f_score, load_ledger
+from i3metrics import generate
+from i3metrics.catalog import CATALOG_HEADER, catalog_stats, load_catalog
+from i3metrics.formats import write_csv
+from i3metrics.generate import _below, _issn, generate_corpus
+from i3metrics.ledger import ARTICLES_HEADER, CITATIONS_HEADER, f_score, load_ledger
 
 
 def digest(path):
@@ -84,6 +91,118 @@ class TestDrawRule:
             drawn = [seq[_below(ours.getrandbits, len(seq))] for _ in range(50)]
             assert drawn == [stdlib.choice(seq) for _ in range(50)], size
             assert ours.getstate() == stdlib.getstate(), size
+
+    # The generator inlines ``paretovariate`` and ``uniform`` as the
+    # stdlib spells them; these name a changed rule before the byte pins.
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 123])
+    def test_power_is_paretovariate(self, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        drawn = [((1.0 - ours.random()) ** (-1.0 / 1.3)).hex() for _ in range(200)]
+        assert drawn == [stdlib.paretovariate(1.3).hex() for _ in range(200)]
+        assert ours.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 123])
+    def test_scaled_random_is_uniform(self, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            assert (1.0 + 2.0 * ours.random()).hex() == stdlib.uniform(1.0, 3.0).hex()
+            assert (-0.25 + 0.5 * ours.random()).hex() == stdlib.uniform(-0.25, 0.25).hex()
+        assert ours.getstate() == stdlib.getstate()
+
+
+def reference_corpus(out_dir, n_articles, n_categories, seed):
+    """The generator as it was before the streamed pass: rows in lists, ``write_csv``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(seed)
+    bits = rng.getrandbits
+    catalog_rows = []
+    journal_names = []
+    for k in range(1, n_categories + 1):
+        category = f"category-{k:02d}"
+        pending_base = None
+        for j in range(1, 8 + _below(bits, 25) + 1):
+            name = f"journal-{k:02d}-{j:03d}"
+            journal_names.append(name)
+            issn = _issn(bits)
+            if pending_base is None:
+                base = round(rng.uniform(1.0, 3.0), 2)
+                pending_base = base
+            else:
+                base = round(4.0 - pending_base, 2)
+                pending_base = None
+            for year in generate.IF_YEARS:
+                factor = round(base + rng.uniform(-0.25, 0.25), 2)
+                catalog_rows.append([category, name, issn, year, f"{factor:.2f}"])
+    first = generate.FIRST_PUBLICATION
+    days = [(first + dt.timedelta(days=d)).isoformat()
+            for d in range((generate.CITATION_HORIZON - first).days + 1)]
+    pub_days = (generate.LAST_PUBLICATION - first).days + 1
+    n_journals = len(journal_names)
+    article_rows = []
+    citation_rows = []
+    for i in range(1, n_articles + 1):
+        article_id = f"a-{i:05d}"
+        journal = journal_names[_below(bits, n_journals)]
+        published = _below(bits, pub_days)
+        article_rows.append([article_id, journal, days[published]])
+        count = min(int(rng.paretovariate(1.3)) - 1, generate.MAX_CITATIONS_PER_ARTICLE)
+        horizon = len(days) - 1 - published
+        for _ in range(count):
+            cited = published + 1 + _below(bits, horizon)
+            citation_rows.append([article_id, journal_names[_below(bits, n_journals)], days[cited]])
+    files = (("catalog.csv", CATALOG_HEADER, catalog_rows),
+             ("articles.csv", ARTICLES_HEADER, article_rows),
+             ("citations.csv", CITATIONS_HEADER, citation_rows))
+    for name, header, rows in files:
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as handle:
+            write_csv(handle, chain([header], rows))
+    return tuple(out_dir / name for name, _, _ in files)
+
+
+class TestStreamedPass:
+    """The streamed generator writes the reference generator's bytes."""
+
+    def same_bytes(self, tmp_path, *args):
+        ours = generate_corpus(tmp_path / "ours", *args)
+        theirs = reference_corpus(tmp_path / "theirs", *args)
+        assert [p.name for p in ours] == [p.name for p in theirs]
+        for mine, reference in zip(ours, theirs):
+            assert mine.read_bytes() == reference.read_bytes(), mine.name
+        return ours
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_block_edges(self, tmp_path, extra):
+        n = generate._BLOCK + extra
+        paths = self.same_bytes(tmp_path, n, 3, 2)
+        if extra == 1:  # the lone article of the second block is cited
+            assert f"a-{n:05d}," in paths[2].read_text(encoding="utf-8")
+
+    def test_three_digit_categories(self, tmp_path):
+        self.same_bytes(tmp_path, 300, 130, 77)
+
+    def test_six_digit_ids_and_the_citation_cap(self, tmp_path):
+        paths = self.same_bytes(tmp_path, 100_001, 1, 3)
+        with open(paths[2], encoding="utf-8") as handle:
+            next(handle)
+            counts = Counter(line[:line.index(",")] for line in handle)
+        assert max(counts.values()) == generate.MAX_CITATIONS_PER_ARTICLE
+        assert "a-100001" in paths[1].read_text(encoding="utf-8")
+
+    def test_memory_is_bounded_by_one_block(self, tmp_path, monkeypatch):
+        # One category keeps the catalog small, so one block's lines
+        # outweigh what every run holds (the day strings, the buffers).
+        monkeypatch.setattr(generate, "_BLOCK", 1024)
+
+        def peak(n_articles):
+            tracemalloc.start()
+            try:
+                generate_corpus(tmp_path / str(n_articles), n_articles, 1, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3 * 1024) < 1.3 * peak(1024)
 
 
 @pytest.fixture(scope="module")
