@@ -23,7 +23,7 @@ from typing import IO
 
 from .core import compute_beta
 from .errors import InputError, ResolutionError
-from .formats import ascii_float, csv_field, read_csv, write_csv
+from .formats import ascii_float, csv_field, csv_text, read_csv
 
 __all__ = [
     "JournalRecord",
@@ -151,15 +151,16 @@ def load_catalog(stream: IO[str], source: str = "catalog") -> Catalog:
 
 
 def dump_catalog(catalog: Catalog, stream: IO[str]) -> None:
-    """Serialize back to the load format; load(dump(c)) equals ``c``."""
-    write_csv(stream, [CATALOG_HEADER])
+    """Serialize back to the load format through :func:`csv_text`; load(dump(c)) equals ``c``."""
+    rows = [CATALOG_HEADER]
     for key in sorted(catalog.journals, key=lambda k: (catalog.journals[k].category, k)):
         record = catalog.journals[key]
-        write_csv(stream, (
+        rows += (
             [record.category, record.name, record.issn or "",
              year, repr(record.if_history[year])]
             for year in sorted(record.if_history)
-        ))
+        )
+    stream.write(csv_text(rows))
 
 
 @dataclass(frozen=True)

@@ -7,24 +7,26 @@ platforms; a score of magnitude 1e15 or more prints as JSON spells it
 keeps full double precision instead.
 
 Every CSV the package reads goes through :func:`read_blocks`: one
-header check, one row arity check, one line numbering.  Every CSV it
-writes goes through :func:`write_csv` (``csv.writer``, ``\\n`` line
-ends), except the two hot stdout tables of :mod:`ranking` and the three
-files of :mod:`generate`.  The tables format each line themselves, with
-their free-text cells through :func:`csv_cell`, ``csv.writer``'s
-quoting rule for this dialect.  The generator formats its lines
-directly: it builds every field from ASCII letters, digits, ``-``,
-``.`` and ``_``, none of which ``csv.writer`` quotes.  Every JSON document it writes goes through :func:`json_text`.
+header check, one row arity check, one line numbering, one block
+shape.  Every CSV it writes goes through :func:`csv_text`, the one
+``csv.writer`` call, except the two hot stdout tables of :mod:`ranking`
+and the three files of :mod:`generate`.  The tables format each line
+themselves, with their free-text cells through :func:`csv_cell`,
+``csv.writer``'s quoting rule for this dialect.  The generator formats
+its lines directly: it builds every field from ASCII letters, digits,
+``-``, ``.`` and ``_``, none of which ``csv.writer`` quotes.  Every
+JSON document it writes goes through :func:`json_text`.
 
-The reader takes lines in blocks.  A block of plain lines (unquoted
-cells, the header's number of commas, a line feed at the end, no
-carriage return or NUL) is split with ``str`` methods and handed over
-as columns, so a loader can resolve each column in one C-level call.
-From the first block that is not plain, ``csv.reader`` reads the rest
-of the file one record at a time.  Either way the records, errors and
-line numbers are the same.  :func:`read_csv` is the row view the
-catalog reads through.  A cell over the ``csv`` field limit and a byte
-that is not UTF-8 are input errors naming the file.
+The reader takes lines in blocks, each a ``(columns, rows)`` pair.  A
+block of plain lines (unquoted cells, the header's number of commas, a
+line feed at the end, no carriage return or NUL) is split with ``str``
+methods and hands over its columns, so a loader can resolve each column
+in one C-level call.  From the first block that is not plain,
+``csv.reader`` reads the rest of the file one record at a time, as one
+last block without columns.  Either way the records, errors and line
+numbers are the same.  :func:`read_csv` chains the blocks' rows.  A
+cell over the ``csv`` field limit and a byte that is not UTF-8 are
+input errors naming the file.
 """
 
 from __future__ import annotations
@@ -74,18 +76,18 @@ ascii_int, ascii_float = _ascii(int), _ascii(float)
 
 
 def read_blocks(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]:
-    """Yield the records after a required header, as column blocks while the lines are plain.
+    """Yield the records after a required header in blocks, with columns while lines are plain.
 
     The header cells must equal ``header`` once trimmed (a header has
     two fields or more, so a blank line is never plain), every record
-    must have as many fields, and blank lines are skipped.  A block of
-    up to ``_BLOCK`` plain lines comes as ``(linenos, columns)``: a
-    range of line numbers and one list of raw cells per field.  The
-    first block that is not plain and the rest of the stream come as
-    one last ``(None, rows)``, where ``rows`` yields ``(lineno, row)``
-    pairs parsed by ``csv.reader``.  ``lineno`` is the physical line a
-    record starts on, so it stays right after a quoted cell that spans
-    lines.  Cells come back raw; see :func:`csv_field`.
+    must have as many fields, and blank lines are skipped.  Each block
+    comes as ``(columns, rows)``: ``rows`` yields ``(lineno, row)``
+    pairs, and ``columns`` holds one list of raw cells per field for a
+    block of up to ``_BLOCK`` plain lines, or is None for the first
+    block that is not plain and the rest of the stream, which
+    ``csv.reader`` parses.  ``lineno`` is the physical line a record
+    starts on, so it stays right after a quoted cell that spans lines.
+    Cells come back raw; see :func:`csv_field`.
     """
     lines = iter(stream)
     reader = csv.reader(lines)
@@ -113,8 +115,8 @@ def read_blocks(stream: IO[str], header: list[str], source: str) -> Iterator[tup
                 yield None, _rows(chain(block, lines), width, source, end)
                 return
             cells = text.replace("\n", ",").split(",")
-            yield (range(end + 1, end + count + 1),
-                   [cells[k:width * count:width] for k in range(width)])
+            columns = [cells[k:width * count:width] for k in range(width)]
+            yield columns, zip(range(end + 1, end + count + 1), zip(*columns))
             end += count
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from None
@@ -146,13 +148,9 @@ def _not_utf8(source: str, exc: UnicodeDecodeError) -> InputError:
                       f"0x{exc.object[exc.start:exc.end].hex()})")
 
 
-def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
+def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]:
     """The records of :func:`read_blocks` one at a time, as ``(lineno, row)`` pairs."""
-    for linenos, columns in read_blocks(stream, header, source):
-        if linenos is None:
-            yield from columns
-        else:
-            yield from zip(linenos, map(list, zip(*columns)))
+    return chain.from_iterable(rows for _, rows in read_blocks(stream, header, source))
 
 
 def csv_field(raw: str, source: str, lineno: int) -> str:
@@ -165,11 +163,6 @@ def csv_field(raw: str, source: str, lineno: int) -> str:
     if "\r" in raw:
         raise InputError(f"{source} line {lineno}: field {raw!r} contains a carriage return")
     return raw.strip()
-
-
-def write_csv(stream: IO[str], rows: Iterable[Sequence]) -> None:
-    """Rows as CSV, one ``\\n``-terminated line each; ``None`` prints empty."""
-    csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
 def csv_cell(text: str) -> str:
@@ -186,14 +179,14 @@ def csv_cell(text: str) -> str:
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
-    """Rows as :func:`write_csv` writes them, returned as text.
+    """Rows as CSV text, one ``\\n``-terminated line each; ``None`` prints empty.
 
     Fields holding a comma, a quote or a line feed are quoted.  The
     standard writer leaves a bare carriage return unquoted, which
     would split the row on reading, so such a field is refused.
     """
     out = io.StringIO()
-    write_csv(out, rows)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     text = out.getvalue()
     if "\r" in text:
         raise ValueError("cannot write a CSV field that contains a carriage return")

@@ -6,6 +6,8 @@ import pytest
 
 from i3metrics.catalog import (
     CATALOG_HEADER,
+    Catalog,
+    JournalRecord,
     canonical_name,
     catalog_stats,
     dump_catalog,
@@ -161,6 +163,14 @@ class TestRoundTrip:
         buffer = io.StringIO()
         dump_catalog(load(text), buffer)
         assert load(buffer.getvalue()).journal("j").latest_if() == 2.0000000000000004
+
+    def test_dump_refuses_a_carriage_return(self):
+        # The loader refuses one, so the catalog is built directly; written
+        # unquoted, the row would split in two when read back.
+        key = canonical_name("A\rB")
+        catalog = Catalog({key: JournalRecord("A\rB", "cat", None, {2010: 1.0})}, {"cat": [key]})
+        with pytest.raises(ValueError, match="carriage return"):
+            dump_catalog(catalog, io.StringIO())
 
 
 class TestStats:

@@ -85,8 +85,12 @@ def reference_read_csv(stream, header, source):
 
 
 def flattened_blocks(stream, header, source):
-    for linenos, columns in read_blocks(stream, header, source):
-        yield from columns if linenos is None else zip(linenos, zip(*columns))
+    """The blocks' rows, each plain block's checked against its columns."""
+    for columns, rows in read_blocks(stream, header, source):
+        if columns is not None:
+            rows = list(rows)
+            assert [list(column) for column in zip(*(row for _, row in rows))] == columns
+        yield from rows
 
 
 def outcome(read, text, newline):
@@ -178,7 +182,29 @@ def test_lines_without_line_feeds_go_to_csv_reader():
 def test_plain_lines_come_as_columns_and_the_rest_as_rows():
     text = "id,name,day\n1,a,x\n2,b,y\n3,\"c\",z\n4,d,w\n"
     with mock.patch.object(formats, "_BLOCK", 2):
-        blocks = [(linenos, columns if linenos is not None else list(columns))
-                  for linenos, columns in read_blocks(io.StringIO(text), HEADER, "f.csv")]
-    assert blocks == [(range(2, 4), [["1", "2"], ["a", "b"], ["x", "y"]]),
-                      (None, [(4, ["3", "c", "z"]), (5, ["4", "d", "w"])])]
+        blocks = [(columns, list(rows))
+                  for columns, rows in read_blocks(io.StringIO(text), HEADER, "f.csv")]
+    assert blocks == [
+        ([["1", "2"], ["a", "b"], ["x", "y"]], [(2, ("1", "a", "x")), (3, ("2", "b", "y"))]),
+        (None, [(4, ["3", "c", "z"]), (5, ["4", "d", "w"])]),
+    ]
+
+
+def test_a_header_cell_over_the_field_limit_is_an_input_error():
+    limit = csv.field_size_limit()
+    text = "x" * (limit + 1) + ",name,day\n1,2,3\n"
+    with pytest.raises(InputError) as info:
+        list(read_csv(io.StringIO(text), HEADER, "f.csv"))
+    assert str(info.value) == f"f.csv line 1: field larger than field limit ({limit})"
+
+
+def test_a_byte_that_is_not_utf8_after_the_switch_to_csv_reader_is_an_input_error():
+    # The quoted first row hands the file to csv.reader; the stream decodes
+    # 8 KiB chunks, so the bad byte is met while csv.reader reads.
+    data = b'id,name,day\n"1",2,3\n' + b"4,5,6\n" * 2000 + b"7,\xff,9\n"
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    read = read_csv(stream, HEADER, "f.csv")
+    assert next(read) == (2, ["1", "2", "3"])
+    with pytest.raises(InputError) as info:
+        list(read)
+    assert str(info.value) == "f.csv: not valid UTF-8 (invalid start byte: 0xff)"

@@ -1,5 +1,6 @@
 """Tests for the seeded synthetic corpus generator."""
 
+import csv
 import datetime as dt
 import hashlib
 import random
@@ -12,7 +13,6 @@ import pytest
 
 from i3metrics import generate
 from i3metrics.catalog import CATALOG_HEADER, catalog_stats, load_catalog
-from i3metrics.formats import write_csv
 from i3metrics.generate import _below, _issn, generate_corpus
 from i3metrics.ledger import ARTICLES_HEADER, CITATIONS_HEADER, f_score, load_ledger
 
@@ -111,7 +111,7 @@ class TestDrawRule:
 
 
 def reference_corpus(out_dir, n_articles, n_categories, seed):
-    """The generator as it was before the streamed pass: rows in lists, ``write_csv``."""
+    """The generator as it was before the streamed pass: rows in lists, ``csv.writer``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
@@ -156,7 +156,7 @@ def reference_corpus(out_dir, n_articles, n_categories, seed):
              ("citations.csv", CITATIONS_HEADER, citation_rows))
     for name, header, rows in files:
         with open(out_dir / name, "w", encoding="utf-8", newline="") as handle:
-            write_csv(handle, chain([header], rows))
+            csv.writer(handle, lineterminator="\n").writerows(chain([header], rows))
     return tuple(out_dir / name for name, _, _ in files)
 
 

@@ -22,6 +22,7 @@ from i3metrics.ledger import citation_count, f_score, load_ledger
 from i3metrics.ranking import (
     MATTHEW_HEADER,
     REPORT_HEADER,
+    PercentileTable,
     Ranking,
     ScoreReport,
     _citation_key,
@@ -430,6 +431,10 @@ class TestSerialization:
         assert lines[0] == "category,percentile,i3"
         assert len(lines) == 6
         assert lines[1].startswith("c,50,")
+
+    def test_percentile_csv_refuses_a_carriage_return(self):
+        with pytest.raises(ValueError, match="carriage return"):
+            percentile_table_to_csv(PercentileTable("c\rd", [(50, 0.5)]))
 
     def test_matthew_csv(self):
         reports = [report("a", 32.0, citations=3),
