@@ -6,27 +6,25 @@ platforms; a score of magnitude 1e15 or more prints as JSON spells it
 (``9.010201290907242e+305``), not in hundreds of digits.  JSON output
 keeps full double precision instead.
 
-Every CSV the package reads goes through :func:`read_blocks`: one
-header check, one row arity check, one line numbering, one block
-shape.  Every CSV it writes goes through :func:`csv_text`, the one
-``csv.writer`` call, except the two hot stdout tables of :mod:`ranking`
-and the three files of :mod:`generate`.  The tables format each line
-themselves, with their free-text cells through :func:`csv_cell`,
-``csv.writer``'s quoting rule for this dialect.  The generator formats
-its lines directly: it builds every field from ASCII letters, digits,
-``-``, ``.`` and ``_``, none of which ``csv.writer`` quotes.  Every
-JSON document it writes goes through :func:`json_text`.
+Every CSV the package reads goes through :func:`read_csv`: one
+header check, one row arity check, one line numbering, one output
+shape, ``(lineno, row)`` pairs.  Every CSV it writes goes through
+:func:`csv_text`, the one ``csv.writer`` call, except the two hot
+stdout tables of :mod:`ranking` and the three files of :mod:`generate`.
+The tables format each line themselves, with their free-text cells
+through :func:`csv_cell`, ``csv.writer``'s quoting rule for this
+dialect.  The generator formats its lines directly: it builds every
+field from ASCII letters, digits, ``-``, ``.`` and ``_``, none of which
+``csv.writer`` quotes.  Every JSON document it writes goes through
+:func:`json_text`.
 
-The reader takes lines in blocks, each a ``(columns, rows)`` pair.  A
-block of plain lines (unquoted cells, the header's number of commas, a
-line feed at the end, no carriage return or NUL) is split with ``str``
-methods and hands over its columns, so a loader can resolve each column
-in one C-level call.  From the first block that is not plain,
-``csv.reader`` reads the rest of the file one record at a time, as one
-last block without columns.  Either way the records, errors and line
-numbers are the same.  :func:`read_csv` chains the blocks' rows.  A
-cell over the ``csv`` field limit and a byte that is not UTF-8 are
-input errors naming the file.
+The reader takes lines in blocks.  A block of plain lines (unquoted
+cells, the header's number of commas, a line feed at the end, no
+carriage return or NUL) is split with ``str`` methods.  From the first
+block that is not plain, ``csv.reader`` reads the rest of the file one
+record at a time.  Either way the records, errors and line numbers are
+the same.  A cell over the ``csv`` field limit and a byte that is not
+UTF-8 are input errors naming the file.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
-# Lines per block of :func:`read_blocks`.  Larger blocks run no faster, and
+# Lines per block of :func:`read_csv`.  Larger blocks run no faster, and
 # the more cells a block holds at once, the more scattered the heap it leaves.
 _BLOCK = 512
 # Every byte but those csv.reader treats specially; what is left of a
@@ -75,19 +73,17 @@ def _ascii(parse):
 ascii_int, ascii_float = _ascii(int), _ascii(float)
 
 
-def read_blocks(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]:
-    """Yield the records after a required header in blocks, with columns while lines are plain.
+def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]:
+    """Yield ``(lineno, row)`` for each record after a required header.
 
     The header cells must equal ``header`` once trimmed (a header has
     two fields or more, so a blank line is never plain), every record
-    must have as many fields, and blank lines are skipped.  Each block
-    comes as ``(columns, rows)``: ``rows`` yields ``(lineno, row)``
-    pairs, and ``columns`` holds one list of raw cells per field for a
-    block of up to ``_BLOCK`` plain lines, or is None for the first
-    block that is not plain and the rest of the stream, which
-    ``csv.reader`` parses.  ``lineno`` is the physical line a record
-    starts on, so it stays right after a quoted cell that spans lines.
-    Cells come back raw; see :func:`csv_field`.
+    must have as many fields, and blank lines are skipped.  Up to
+    ``_BLOCK`` plain lines at a time are split with ``str`` methods; the
+    first block that is not plain and the rest of the stream go through
+    ``csv.reader``.  ``lineno`` is the physical line a record starts on,
+    so it stays right after a quoted cell that spans lines.  Cells come
+    back raw, in a tuple or a list; see :func:`csv_field`.
     """
     lines = iter(stream)
     reader = csv.reader(lines)
@@ -112,11 +108,11 @@ def read_blocks(stream: IO[str], header: list[str], source: str) -> Iterator[tup
             # A line longer than the field limit may hold a field csv.reader refuses.
             if (skeleton != plain and skeleton != plain[:-1]
                     or len(text) > limit and max(map(len, block)) > limit):
-                yield None, _rows(chain(block, lines), width, source, end)
+                yield from _rows(chain(block, lines), width, source, end)
                 return
-            cells = text.replace("\n", ",").split(",")
-            columns = [cells[k:width * count:width] for k in range(width)]
-            yield columns, zip(range(end + 1, end + count + 1), zip(*columns))
+            # zip drops the empty cell after a final line feed.
+            cells = iter(text.replace("\n", ",").split(","))
+            yield from zip(range(end + 1, end + count + 1), zip(*[cells] * width))
             end += count
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from None
@@ -146,11 +142,6 @@ def _not_utf8(source: str, exc: UnicodeDecodeError) -> InputError:
     """The error for a file that does not decode; the stream decodes in chunks, so no line."""
     return InputError(f"{source}: not valid UTF-8 ({exc.reason}: "
                       f"0x{exc.object[exc.start:exc.end].hex()})")
-
-
-def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]:
-    """The records of :func:`read_blocks` one at a time, as ``(lineno, row)`` pairs."""
-    return chain.from_iterable(rows for _, rows in read_blocks(stream, header, source))
 
 
 def csv_field(raw: str, source: str, lineno: int) -> str:

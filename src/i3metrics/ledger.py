@@ -43,13 +43,13 @@ from array import array
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, repeat
-from operator import add, attrgetter, gt, is_
+from itertools import accumulate, count
+from operator import add
 from typing import IO, Sequence
 
 from .catalog import Catalog, canonical_name
 from .errors import InputError, ResolutionError
-from .formats import csv_field, read_blocks, read_csv
+from .formats import csv_field, read_csv
 
 __all__ = [
     "ArticleRecord",
@@ -76,8 +76,6 @@ _YEAR_SPAN = 10000
 
 # Every whole number up to this is exact as a float.
 _FLOAT_WHOLE = 2 ** 53
-
-_position = attrgetter("position")
 
 
 @dataclass(slots=True)
@@ -205,12 +203,6 @@ def load_ledger(
     (then citing journal) per article.  Each distinct journal and date
     cell is checked and parsed, and each distinct citing spelling
     joined, only once.
-
-    The articles go row by row through :func:`read_csv`, like the catalog;
-    only the citations' plain blocks are resolved a column at a time:
-    measured, that runs the citations pass about 12% faster, 2-4% of a
-    dense load.  A citations block with a row that needs a closer look
-    goes row by row too: errors, texts and lines are a row-by-row load's.
     """
     articles: dict[str, ArticleRecord] = {}
     # Both keyed by the raw cell: a cell seen before has passed csv_field,
@@ -247,41 +239,34 @@ def load_ledger(
     spellings: list[str] = []
     ordinals: dict[str, int] = {}
     row_article, row_day, row_spelling = [], [], []  # per row, in file order
-    for columns, rows in read_blocks(citations_stream, CITATIONS_HEADER, citations_source):
-        block = columns and _citations_block(columns, articles, publication_days, spelling_ids,
-                                             spellings, ordinals, citations_source)
-        if block:
-            row_article += block[0]
-            row_spelling += block[1]
-            row_day += block[2]
-            continue
-        for lineno, (article_id, journal_raw, date_raw) in rows:
+    for lineno, (article_id, journal_raw, date_raw) in read_csv(
+            citations_stream, CITATIONS_HEADER, citations_source):
+        article = articles.get(article_id)
+        if article is None:  # try the trimmed cell, refusing a carriage return
+            article_id = csv_field(article_id, citations_source, lineno)
             article = articles.get(article_id)
-            if article is None:  # try the trimmed cell, refusing a carriage return
-                article_id = csv_field(article_id, citations_source, lineno)
-                article = articles.get(article_id)
-                if article is None:
-                    raise InputError(
-                        f"{citations_source} line {lineno}: citation of unknown "
-                        f"article {article_id!r}"
-                    )
-            i = article.position
-            s = spelling_ids.get(journal_raw)
-            if s is None:
-                s = spelling_ids[journal_raw] = _intern_spelling(
-                    journal_raw, spelling_ids, spellings, citations_source, lineno)
-            cited = ordinals.get(date_raw)
-            if cited is None:
-                cited = ordinals[date_raw] = _parse_ordinal(date_raw, citations_source, lineno)
-            if cited < publication_days[i]:
+            if article is None:
                 raise InputError(
-                    f"{citations_source} line {lineno}: citation dated "
-                    f"{dt.date.fromordinal(cited)} precedes publication of {article_id!r} "
-                    f"({article.publication_date})"
+                    f"{citations_source} line {lineno}: citation of unknown "
+                    f"article {article_id!r}"
                 )
-            row_article.append(i)
-            row_day.append(cited)
-            row_spelling.append(s)
+        i = article.position
+        s = spelling_ids.get(journal_raw)
+        if s is None:
+            s = spelling_ids[journal_raw] = _intern_spelling(
+                journal_raw, spelling_ids, spellings, citations_source, lineno)
+        cited = ordinals.get(date_raw)
+        if cited is None:
+            cited = ordinals[date_raw] = _parse_ordinal(date_raw, citations_source, lineno)
+        if cited < publication_days[i]:
+            raise InputError(
+                f"{citations_source} line {lineno}: citation dated "
+                f"{dt.date.fromordinal(cited)} precedes publication of {article_id!r} "
+                f"({article.publication_date})"
+            )
+        row_article.append(i)
+        row_day.append(cited)
+        row_spelling.append(s)
     del publication_days
 
     canonical = [canonical_name(spelling) for spelling in spellings]
@@ -318,47 +303,6 @@ def load_ledger(
                                  map(years.__getitem__, days))))
     return Ledger(articles, offsets, array("i", days), array("i", spelled), groups,
                   spellings, names)
-
-
-def _citations_block(cells: list[list[str]], articles: dict[str, ArticleRecord],
-                     publication_days: list[int], spelling_ids: dict[str, int],
-                     spellings: list[str], ordinals: dict[str, int],
-                     source: str) -> tuple[list[int], list[int], list[int]] | None:
-    """Positions, spelling ids and date ordinals of a block of plain citation rows.
-
-    None if a row needs the row loop: its article id is unknown or must
-    be trimmed, a new cell is refused, or it precedes its article.
-    """
-    id_cells, journal_cells, date_cells = cells
-    try:
-        positions = list(map(_position, map(articles.get, id_cells)))
-    except AttributeError:  # an id that is not a key as it stands
-        return None
-    try:
-        spelled = _resolve(journal_cells, spelling_ids, lambda raw: _intern_spelling(
-            raw, spelling_ids, spellings, source, 0))
-        cited = _resolve(date_cells, ordinals, lambda raw: _parse_ordinal(raw, source, 0))
-    except InputError:
-        return None
-    if any(map(gt, map(publication_days.__getitem__, positions), cited)):
-        return None
-    return positions, spelled, cited
-
-
-def _resolve(cells: list[str], table: dict, new) -> list:
-    """``table[cell]`` for each cell, adding the misses as ``new(cell)`` in first-occurrence order.
-
-    ``new`` checks a cell without its line number: a refused cell sends
-    its block through the row loop, which raises with the line.
-    """
-    values = list(map(table.get, cells))
-    if None in values:
-        for k in list(compress(range(len(cells)), map(is_, values, repeat(None)))):
-            value = table.get(cells[k])
-            if value is None:
-                value = table[cells[k]] = new(cells[k])
-            values[k] = value
-    return values
 
 
 def shift_years(day: dt.date, years: int) -> dt.date:

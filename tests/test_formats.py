@@ -16,7 +16,6 @@ from i3metrics.formats import (
     ascii_int,
     fmt_score,
     json_text,
-    read_blocks,
     read_csv,
 )
 
@@ -84,15 +83,6 @@ def reference_read_csv(stream, header, source):
         yield lineno, row
 
 
-def flattened_blocks(stream, header, source):
-    """The blocks' rows, each plain block's checked against its columns."""
-    for columns, rows in read_blocks(stream, header, source):
-        if columns is not None:
-            rows = list(rows)
-            assert [list(column) for column in zip(*(row for _, row in rows))] == columns
-        yield from rows
-
-
 def outcome(read, text, newline):
     """The (lineno, row) pairs read up to the end or the first error, and that error."""
     pairs = []
@@ -107,14 +97,13 @@ def outcome(read, text, newline):
 def assert_reads_as_the_reference(text, newline="", block=3):
     expected, error = outcome(reference_read_csv, text, newline)
     with mock.patch.object(formats, "_BLOCK", block):
-        for read in (flattened_blocks, read_csv):
-            pairs, got = outcome(read, text, newline)
-            assert pairs == expected
-            if isinstance(error, csv.Error):  # now an input error naming the file and line
-                assert isinstance(got, InputError)
-                assert str(got).startswith("f.csv line ") and str(got).endswith(f": {error}")
-            else:
-                assert type(got) is type(error) and str(got) == str(error)
+        pairs, got = outcome(read_csv, text, newline)
+    assert pairs == expected
+    if isinstance(error, csv.Error):  # now an input error naming the file and line
+        assert isinstance(got, InputError)
+        assert str(got).startswith("f.csv line ") and str(got).endswith(f": {error}")
+    else:
+        assert type(got) is type(error) and str(got) == str(error)
 
 
 PLAIN = "".join(f"{k},name {k},2015-01-0{k % 9 + 1}\n" for k in range(7))
@@ -179,15 +168,14 @@ def test_lines_without_line_feeds_go_to_csv_reader():
         assert list(read_csv(lines, HEADER, "f.csv")) == [(2, ["1", "2", "3"]), (3, ["4", "5", "6"])]
 
 
-def test_plain_lines_come_as_columns_and_the_rest_as_rows():
+def test_plain_lines_and_the_csv_reader_tail_come_as_the_same_pairs():
     text = "id,name,day\n1,a,x\n2,b,y\n3,\"c\",z\n4,d,w\n"
     with mock.patch.object(formats, "_BLOCK", 2):
-        blocks = [(columns, list(rows))
-                  for columns, rows in read_blocks(io.StringIO(text), HEADER, "f.csv")]
-    assert blocks == [
-        ([["1", "2"], ["a", "b"], ["x", "y"]], [(2, ("1", "a", "x")), (3, ("2", "b", "y"))]),
-        (None, [(4, ["3", "c", "z"]), (5, ["4", "d", "w"])]),
-    ]
+        pairs = list(read_csv(io.StringIO(text), HEADER, "f.csv"))
+    # Lines 2-3 are one plain block split with str methods; the quoted
+    # cell on line 4 hands that block and the rest to csv.reader.
+    assert pairs == [(2, ("1", "a", "x")), (3, ("2", "b", "y")),
+                     (4, ["3", "c", "z"]), (5, ["4", "d", "w"])]
 
 
 def test_a_header_cell_over_the_field_limit_is_an_input_error():
