@@ -18,7 +18,8 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import IO
 
 from .core import compute_beta
@@ -202,11 +203,11 @@ def catalog_stats(catalog: Catalog) -> CatalogStats:
 
 def _mean(values: list[float]) -> float:
     """Mean of finite values >= 0, scaled by the largest where their sum overflows."""
-    total = sum(values)
+    total = reduce(add, values, 0.0)  # left to right: sum() compensates from Python 3.12
     if total < math.inf:
         return total / len(values)
     top = max(values)
-    return top * (sum(value / top for value in values) / len(values))
+    return top * (reduce(add, (value / top for value in values), 0.0) / len(values))
 
 
 def _parse_year(raw: str, source: str, lineno: int) -> int:

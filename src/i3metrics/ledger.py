@@ -23,9 +23,10 @@ mass of an article at several ascending cutoffs, each window a prefix
 of the next: :func:`f_score` asks for one cutoff,
 :func:`anniversary_masses` for several anniversaries,
 :func:`validate_truncation` for a truncated window and the full
-history.  Each cutoff whose window grew sorts the window's group keys
-and walks them once, adding each run of equal keys as ``run length *
-factor`` onto the publishing IF.  Errors surface as if each cutoff were
+history.  One key list per call grows with each window: a cutoff whose
+window grew appends the new rows' group keys, re-sorts the list and
+walks it once, adding each run of equal keys as ``run length * factor``
+onto the publishing IF.  Errors surface as if each cutoff were
 scored on its own, in turn: a bad ``fallback_if``, a bad ``as_of``, an
 unknown article id, a window that ends after year 9999, the publishing
 journal, uncatalogued citing journals, the first failing impact factor
@@ -399,13 +400,14 @@ def _masses(
 ) -> list[float]:
     """Mass of one article at each of the ascending ``cutoffs`` (``None``: full history).
 
-    A cutoff whose window grew sorts the whole window's group keys
-    (citing journal, and year when IFs are historical), journal first,
-    then year, and walks them once, adding ``run length * factor`` for
-    each run of equal keys onto the publishing IF; a cutoff that adds no
-    rows repeats the last mass.  Every factor comes from the ledger's
-    factor table, and the errors come in the order the module docstring
-    gives.
+    One key list per call grows with each window: a cutoff whose window
+    grew appends the new rows' group keys (citing journal, and year when
+    IFs are historical), re-sorts the list, journal first, then year, and
+    walks it once, adding ``run length * factor`` for each run of equal
+    keys onto the publishing IF; a cutoff that adds no rows repeats the
+    last mass.  Only the new rows are checked for uncatalogued journals.
+    Every factor comes from the ledger's factor table, and the errors
+    come in the order the module docstring gives.
     """
     table = factor_table(ledger, catalog, fallback_if)
     factors = table if historical else table.current
@@ -422,15 +424,15 @@ def _masses(
                 publisher = table.publisher(article.journal)
                 total = psi_a = (factors[publisher.base + article.publication_date.year]
                                  if historical else publisher.current_if)
-                counted = start
+                counted, keys = start, []
             if stop > counted:
-                counted = stop
-                rows = ledger.groups[start:stop]
-                # With current IFs a key is the name rank alone.
-                keys = sorted(rows) if historical else sorted(map(_YEAR_SPAN.__rfloordiv__, rows))
-                if unknown and not unknown.isdisjoint(
-                        map(_YEAR_SPAN.__rfloordiv__, keys) if historical else keys):
+                rows = ledger.groups[counted:stop]
+                if unknown and not unknown.isdisjoint(map(_YEAR_SPAN.__rfloordiv__, rows)):
                     raise _uncatalogued(ledger, start, stop, unknown)
+                # With current IFs a key is the name rank alone.
+                keys += rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows)
+                keys.sort()  # one sorted run and the new tail
+                counted = stop
                 total, run, n = psi_a, keys[0], 0
                 for key in keys:
                     if key == run:

@@ -183,6 +183,12 @@ class TestStats:
         assert stats.mean_phi == pytest.approx(1.5)
         assert stats.mean_if == pytest.approx((3.1 + 1.2 + 4.0) / 3)
 
+    def test_means_are_summed_left_to_right_on_every_interpreter(self):
+        # sum() compensates float sums from Python 3.12 on and would give 0.1.
+        rows = [",".join(CATALOG_HEADER)] + [f"cat,journal-{j},,2020,0.1" for j in range(10)]
+        stats = catalog_stats(load("\n".join(rows) + "\n"))
+        assert stats.categories[0].mean_if == stats.mean_if == 0.09999999999999999
+
     def test_categories_sorted_by_name(self):
         stats = catalog_stats(load(BASIC))
         assert [s.category for s in stats.categories] == [

@@ -326,6 +326,66 @@ class TestFallbackType:
         assert f_score(ledger, catalog, "art-1", fallback_if=Fraction(9, 4)) == 17.5 + 2 * 2.25
 
 
+class TestGrownWindows:
+    """One key list grows across the anniversaries of one call."""
+
+    # Factors whose sums round, so that a changed summation order shows.
+    CATALOG = """\
+category,journal,issn,year,impact_factor
+c,Alpha Letters,,2010,0.3
+c,Beta Journal,,2010,0.7
+c,Beta Journal,,2016,1.7
+c,Cell Reports,,2010,2.9
+c,Press Journal,,2010,1.3
+"""
+    ARTICLES = "article_id,journal,publication_date\nx,Press Journal,2015-03-10\n"
+    # Year 1 ends 2016-03-10.  Year 2 adds a second Beta 2016 row, so that
+    # key's run grows from 1 to 2, and Alpha, which sorts before every
+    # year-1 key; year 3 adds Cell 2017, and the full history Alpha 2019.
+    CITATIONS = """\
+article_id,citing_journal,citation_date
+x,Beta Journal,2015-06-01
+x,Cell Reports,2015-09-01
+x,Beta Journal,2016-02-01
+x,Beta Journal,2016-06-01
+x,Alpha Letters,2016-08-01
+x,Cell Reports,2017-05-01
+x,Alpha Letters,2019-01-01
+"""
+
+    def test_anniversary_masses_equal_each_cutoff_scored_alone(self):
+        catalog, ledger = load(self.CATALOG, self.ARTICLES, self.CITATIONS)
+        # Historical IFs; keys in (journal, year) order, each run times its factor.
+        by_hand = [1.3 + 0.7 + 1.7 + 2.9,
+                   1.3 + 0.3 + 0.7 + 2 * 1.7 + 2.9,
+                   1.3 + 0.3 + 0.7 + 2 * 1.7 + 2.9 + 2.9]
+        alone = [f_score(ledger, catalog, "x", as_of=t, if_mode="historical") for t in (1, 2, 3)]
+        assert anniversary_masses(ledger, catalog, "x", [1, 2, 3]) == alone == by_hand
+
+    def test_truncated_and_full_masses_equal_each_scored_alone(self):
+        catalog, ledger = load(self.CATALOG, self.ARTICLES, self.CITATIONS)
+        # Current IFs; a key is the journal alone.
+        by_hand = {1: [1.3 + 2 * 1.7 + 2.9, 1.3 + 2 * 0.3 + 3 * 1.7 + 2 * 2.9],
+                   2: [1.3 + 0.3 + 3 * 1.7 + 2.9, 1.3 + 2 * 0.3 + 3 * 1.7 + 2 * 2.9]}
+        for t, masses in by_hand.items():
+            # The two masses validate_truncation compares, from its one call.
+            assert ledger_module._masses(ledger, catalog, "x", (t, None), False, None) \
+                == [f_score(ledger, catalog, "x", as_of=t), f_score(ledger, catalog, "x")] \
+                == masses
+            assert validate_truncation(ledger, catalog, "x", t)
+
+    def test_uncatalogued_journals_entering_at_year_two_are_named_in_name_order(self):
+        # Year 1 is clean; year 2 adds Zeta, spelled two ways, and Ghost.
+        citations = self.CITATIONS + (
+            "x,ZETA ANNALS,2016-04-01\nx,Ghost Journal,2016-05-01\nx,Zeta Annals,2016-07-01\n")
+        catalog, ledger = load(self.CATALOG, self.ARTICLES, citations)
+        assert anniversary_masses(ledger, catalog, "x", [1]) == [1.3 + 0.7 + 1.7 + 2.9]
+        with pytest.raises(ResolutionError) as raised:
+            anniversary_masses(ledger, catalog, "x", [1, 2])
+        assert str(raised.value) == \
+            "article 'x': citing journals not in catalog: Ghost Journal, ZETA ANNALS"
+
+
 # -- generated-ledger properties ---------------------------------------
 #
 # Impact factors are multiples of 0.25 and event counts are small, so

@@ -1,0 +1,104 @@
+"""Compare the stdout of fixed CLI commands across Python interpreters.
+
+Usage::
+
+    PYTHONPATH=src python3 tools/stdout_digests.py PYTHON [PYTHON ...]
+
+Writes ``gen --articles 2000 --categories 20 --seed 5`` once, with the
+running interpreter, into a temporary directory.  Then it runs each
+case of ``CASES`` on that corpus as ``PYTHON -m i3metrics.cli ...``
+under the running interpreter and under each given one, one process per
+case, with the package imported from ``src/``.  The cases are the nine
+commands of ``tests/test_stdout_bytes.py``, ``catalog-stats`` as JSON
+and one ten-anniversary ``dynamics`` report as JSON.
+
+Prints ``case  version  sha256`` for each case and interpreter, the
+running interpreter first, after one ``# version: path`` line per
+interpreter.  A case that exits non-zero or writes to stderr prints
+``error`` and its exit status instead of a digest.  Exits 1 if any
+digest differs from the running interpreter's, else 0.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+GEN = ["gen", "--articles", "2000", "--categories", "20", "--seed", "5"]
+DATA = ("catalog", "articles", "citations")  # each --NAME takes NAME.csv of the corpus
+
+CASES = {
+    "rank-matthew-csv": ["rank", "--matthew"],
+    "rank-matthew-json": ["rank", "--matthew", "--format", "json"],
+    "score-historical-as-of-json": ["score", "--all", "--if-mode", "historical",
+                                    "--as-of", "3", "--format", "json"],
+    "rank-matthew-historical-as-of-csv": ["rank", "--matthew", "--if-mode", "historical",
+                                          "--as-of", "2"],
+    "score-ids-as-of-csv": ["score", "a-00007", "a-00003", "a-00011", "--as-of", "1"],
+    "dynamics-cited-csv": ["dynamics", "a-00007", "--years", "1,5,10"],
+    "dynamics-cited-json": ["dynamics", "a-00007", "--years", "1,5,10", "--format", "json"],
+    "dynamics-uncited-csv": ["dynamics", "a-00003", "--years", "1,5,10"],
+    "dynamics-uncited-json": ["dynamics", "a-00003", "--years", "1,5,10", "--format", "json"],
+    "catalog-stats-json": ["catalog-stats", "--format", "json"],
+    "dynamics-cited-years-1-10-json": ["dynamics", "a-00007", "--years",
+                                       "1,2,3,4,5,6,7,8,9,10", "--format", "json"],
+}
+
+
+def _run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([python, "-m", "i3metrics.cli", *argv], env=env,
+                          capture_output=True, timeout=600)
+
+
+def digests(python: str, corpus: Path) -> dict[str, str]:
+    """The sha256 of each case's stdout under ``python``, or ``error (exit N)``."""
+    out = {}
+    for name, argv in CASES.items():
+        files = DATA[:1] if argv[0] == "catalog-stats" else DATA
+        data = [arg for f in files for arg in (f"--{f}", str(corpus / f"{f}.csv"))]
+        done = _run(python, argv + data)
+        out[name] = (hashlib.sha256(done.stdout).hexdigest()
+                     if done.returncode == 0 and not done.stderr
+                     else f"error (exit {done.returncode})")
+    return out
+
+
+def version(python: str) -> str:
+    done = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
+                          capture_output=True, text=True, timeout=60)
+    return done.stdout.strip() or "unknown"
+
+
+def main(argv: list[str]) -> int:
+    pythons = [sys.executable] + [p for p in argv
+                                  if os.path.realpath(p) != os.path.realpath(sys.executable)]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp)
+        done = _run(sys.executable, GEN + ["--out", str(corpus)])
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr.decode("utf-8", "replace"))
+            return 1
+        results = [(version(p), digests(p, corpus)) for p in pythons]
+    for python, (label, _) in zip(pythons, results):
+        print(f"# {label}: {python}")
+    reference = results[0][1]
+    differ = 0
+    for name in CASES:
+        for label, found in results:
+            mark = "" if found[name] == reference[name] else "  differs"
+            differ += bool(mark)
+            print(f"{name:<34} {label:<8} {found[name]}{mark}")
+    return 1 if differ or any(d.startswith("error") for d in reference.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
