@@ -33,8 +33,8 @@ from .formats import ascii_float, ascii_int, csv_text, fmt_beta, fmt_score, json
 from .generate import generate_corpus
 from .ledger import ARTICLES_HEADER, CITATIONS_HEADER, IF_MODES, Ledger, check_scoring, \
     load_ledger
-from .ranking import matthew_comparison, matthew_to_csv, matthew_to_obj, \
-    rank, ranked_rows, report_to_obj, reports_to_csv, reports_to_json, score_articles
+from .ranking import matthew_comparison, matthew_to_csv, rank, rank_to_json, \
+    reports_to_csv, reports_to_json, score_articles
 
 __all__ = ["build_parser", "main", "console"]
 
@@ -182,10 +182,7 @@ def _cmd_score(args) -> str:
 def _cmd_rank(args) -> str | tuple[str, ...]:
     ranked = rank(_score(args, None))
     if args.format == "json":
-        obj = {"ranking": [report_to_obj(*row) for row in ranked_rows(ranked)]}
-        if args.matthew:
-            obj["matthew"] = matthew_to_obj(matthew_comparison(ranked))
-        return json_text(obj)
+        return rank_to_json(ranked, matthew_comparison(ranked) if args.matthew else None)
     if args.matthew:
         return reports_to_csv(ranked), "\n", matthew_to_csv(matthew_comparison(ranked))
     return reports_to_csv(ranked)

@@ -143,16 +143,10 @@ def compare_auc(a: tuple[float, float], b: tuple[float, float]) -> AucComparison
     has the opposite sign to ``greater``; where the rounded areas
     disagree with the masses it is 0.0.
     """
-    auc_a = i3_auc(a[0], a[1])
-    auc_b = i3_auc(b[0], b[1])
+    auc_a, auc_b = i3_auc(*a), i3_auc(*b)
     difference = auc_a - auc_b
     x, y = (a[0], b[0]) if a[1] == b[1] else (auc_a, auc_b)
-    if x > y:
-        greater = "a"
-    elif y > x:
-        greater = "b"
-    else:
-        greater = "equal"
+    greater = "a" if x > y else "b" if y > x else "equal"
     if (greater == "a" and difference < 0.0) or (greater == "b" and difference > 0.0):
         difference = 0.0
     return AucComparison(auc_a, auc_b, difference, greater)
@@ -187,31 +181,16 @@ def dynamics_to_csv(report: DynamicsReport) -> str:
 
 
 def dynamics_to_json(report: DynamicsReport) -> str:
-    obj = {
-        "article_id": report.article_id,
-        "beta": report.beta,
-        "f_full": report.f_full,
-        "i3_full": report.i3_full,
-        "auc_full": report.auc_full,
-        "derivative_at_full": report.derivative_at_full,
-        "series": [{**asdict(p), "exceeds_unity": p.exceeds_unity} for p in report.series],
-    }
-    return json_text(obj)
+    keys = ("article_id", "beta", "f_full", "i3_full", "auc_full", "derivative_at_full")
+    return json_text({**{key: getattr(report, key) for key in keys}, "series": [
+        {**asdict(p), "exceeds_unity": p.exceeds_unity} for p in report.series]})
 
 
 def curve_family_to_csv(curves: Sequence[tuple[float, list[tuple[float, float]]]]) -> str:
     """Column pair (f, i3) per coefficient, suitable for external plotting."""
-    header = []
-    for beta, _ in curves:
-        header += [f"f(beta={fmt_beta(beta)})", f"i3(beta={fmt_beta(beta)})"]
-    rows = [header]
-    for i in range(len(curves[0][1])):
-        row = []
-        for _, points in curves:
-            f, value = points[i]
-            row += [fmt_score(f), fmt_score(value)]
-        rows.append(row)
-    return csv_text(rows)
+    header = [f"{axis}(beta={fmt_beta(beta)})" for beta, _ in curves for axis in ("f", "i3")]
+    return csv_text([header] + [[fmt_score(x) for _, points in curves for x in points[i]]
+                                for i in range(len(curves[0][1]))])
 
 
 def _fmt_ratio(value: float | None) -> str:

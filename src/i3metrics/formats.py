@@ -1,4 +1,4 @@
-"""Number formatting and grammar, the one CSV reader, the CSV writers, the one JSON writer.
+"""Number formatting and grammar, the one CSV reader, the CSV and JSON writers.
 
 Scores print at 6 decimal places and rate coefficients at 9
 significant digits so golden-file comparisons are portable across
@@ -15,8 +15,8 @@ The tables format each line themselves, with their free-text cells
 through :func:`csv_cell`, ``csv.writer``'s quoting rule for this
 dialect.  The generator formats its lines directly: it builds every
 field from ASCII letters, digits, ``-``, ``.`` and ``_``, none of which
-``csv.writer`` quotes.  Every JSON document it writes goes through
-:func:`json_text`.
+``csv.writer`` quotes.  Every JSON document it writes is the bytes of
+:func:`json_text`; lists of records go through :func:`json_records`.
 
 The reader takes lines in blocks.  A block of plain lines (unquoted
 cells, the header's number of commas, a line feed at the end, no
@@ -33,6 +33,7 @@ import csv
 import io
 import json
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -43,6 +44,7 @@ _BLOCK = 512
 # Every byte but those csv.reader treats specially; what is left of a
 # plain line is its commas and its line feed.
 _NOT_SPECIAL = bytes(set(range(256)).difference(b',"\r\n\0'))
+_CHUNK_LINES = 1024  # lines or records per joined piece of a written table
 
 
 def fmt_score(x: float) -> str:
@@ -184,6 +186,39 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return text
 
 
+def chunked_text(head: str, lines) -> str:
+    """``head``, then the ``lines`` iterator joined :data:`_CHUNK_LINES` at a time."""
+    return "".join([head, *iter(lambda: "".join(islice(lines, _CHUNK_LINES)), "")])
+
+
 def json_text(obj) -> str:
     """``obj`` as indented JSON; ValueError on a non-finite number, which JSON cannot spell."""
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def json_records(keys: Sequence[str], rows: Iterable[tuple], depth: int = 0) -> str:
+    """:func:`json_text` of the list of ``dict(zip(keys, row))``, ``depth`` levels deep, less its line feed.
+
+    ``keys`` are one or more distinct strings and the values str, int,
+    float, bool or None.  Each record fills one ``%`` template; the rows
+    go through it :data:`_CHUNK_LINES` at a time.
+    """
+    outer = "\n" + "  " * depth
+    fields = ",".join(f"{outer}    {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                      for key in keys)
+    record, rows = f",{outer}  {{{fields}{outer}  }}", iter(rows)
+    chunks = [*iter(lambda: _json_chunk(record, list(islice(rows, _CHUNK_LINES))), "")]
+    return "".join(["[", chunks[0][1:], *chunks[1:], outer, "]"]) if chunks else "[]"
+
+
+def _json_chunk(record: str, block: list[tuple]) -> str:
+    """``block`` through ``record``, its values spelled a column at a time as ``json.dumps`` does."""
+    spell = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+             bool: {False: "false", True: "true"}.__getitem__, type(None): "null".format}
+    columns = [list(map(spell[type(col[0])], col)) if len(set(map(type, col))) == 1
+               else [spell[type(value)](value) for value in col] for col in zip(*block)]
+    if any("nan" in column or "inf" in column or "-inf" in column for column in columns):
+        bad = next(value for value in chain.from_iterable(block)
+                   if type(value) is float and repr(value) in ("nan", "inf", "-inf"))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return "".join(map(record.__mod__, zip(*columns)))

@@ -7,8 +7,9 @@ resolution so that scores indistinguishable at that scale fall through
 to the area tie-break.  The whole chain is a total order over distinct
 article ids, so the output never depends on input order.  :func:`rank`
 builds one column per key field and sorts on the columns, least
-significant first; the CSV writers format each line directly and join
-the lines 1,024 at a time, never a whole table's line strings at once.
+significant first; the CSV writers format each line directly and the
+JSON writers fill one template per record, and both join 1,024 lines
+or records at a time, never a whole table's line strings at once.
 
 The divergence summary contrasts the index ranking with a plain
 citation-count ranking: articles cited from high-impact venues can
@@ -19,13 +20,13 @@ is the intended counterweight to rich-get-richer citation dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 from typing import Sequence
 
 from .catalog import Catalog
 from .core import compute_i3, i3_auc
 from .errors import InputError
-from .formats import csv_cell, csv_text, fmt_beta, fmt_score, json_text
+from .formats import chunked_text, csv_cell, csv_text, fmt_beta, fmt_score, json_records
 from .ledger import Ledger, check_scoring, f_score, factor_table, window_rows
 
 __all__ = [
@@ -42,8 +43,7 @@ __all__ = [
     "matthew_comparison",
     "reports_to_csv",
     "reports_to_json",
-    "report_to_obj",
-    "matthew_to_obj",
+    "rank_to_json",
     "percentile_table_to_csv",
     "matthew_to_csv",
 ]
@@ -58,8 +58,6 @@ MATTHEW_HEADER = ["article_id", "rank_i3", "rank_citations", "displacement"]
 PERCENTILE_LEVELS = (50, 75, 90, 95, 99)
 
 MIN_PERCENTILE_SAMPLE = 20
-
-_CHUNK_LINES = 1024  # lines per joined piece of a CSV table
 
 
 @dataclass(slots=True)
@@ -185,11 +183,8 @@ def percentile_table(reports: Sequence[ScoreReport], category: str) -> Percentil
             f"at least {MIN_PERCENTILE_SAMPLE} are needed for a percentile table"
         )
     n = len(values)
-    thresholds = [
-        (p, values[(p * n + 99) // 100 - 1])
-        for p in PERCENTILE_LEVELS
-    ]
-    return PercentileTable(category, thresholds)
+    return PercentileTable(category, [(p, values[(p * n + 99) // 100 - 1])
+                                      for p in PERCENTILE_LEVELS])
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def matthew_comparison(ranked: Ranking) -> MatthewSummary:
     """Contrast index ranking with citation-count ranking.
 
     ``ranked`` is the output of :func:`rank`; only its rank columns are
-    read.  :func:`matthew_to_csv` and :func:`matthew_to_obj` list one
+    read.  :func:`matthew_to_csv` and :func:`rank_to_json` list one
     row per article in its best-first order, where ``displacement`` is
     citation rank minus index rank (the
     displacements of a report always sum to zero); ``improved`` counts
@@ -221,30 +216,30 @@ def ranked_rows(reports: Sequence[ScoreReport]):
     return ((r, None, None) for r in reports)
 
 
-def _chunked(head: str, lines) -> str:
-    """``head``, then the ``lines`` iterator joined :data:`_CHUNK_LINES` at a time."""
-    return "".join([head, *iter(lambda: "".join(islice(lines, _CHUNK_LINES)), "")])
-
-
 def reports_to_csv(reports: Sequence[ScoreReport]) -> str:
-    return _chunked(csv_text([REPORT_HEADER]), (
+    return chunked_text(csv_text([REPORT_HEADER]), (
         f"{csv_cell(r.article_id)},{csv_cell(r.category)},{r.phi},{fmt_beta(r.beta)},"
         f"{fmt_score(r.f_score)},{fmt_score(r.i3)},{r.citation_count},"
         f"{'' if rank_i3 is None else rank_i3},{'' if rank_c is None else rank_c}\n"
         for r, rank_i3, rank_c in ranked_rows(reports)))
 
 
-def report_to_obj(r: ScoreReport, rank_i3: int | None = None,
-                  rank_citations: int | None = None) -> dict:
-    """JSON-ready mapping for one report, keeping full float precision."""
-    return dict(zip(REPORT_HEADER, (
-        r.article_id, r.category, r.phi, r.beta, r.f_score,
-        r.i3, r.citation_count, rank_i3, rank_citations,
-    )))
+def reports_to_json(reports: Sequence[ScoreReport], depth: int = 0) -> str:
+    """The reports' JSON list nested ``depth`` levels deep, a whole document at depth 0."""
+    return json_records(REPORT_HEADER, (
+        (r.article_id, r.category, r.phi, r.beta, r.f_score, r.i3, r.citation_count, i, c)
+        for r, i, c in ranked_rows(reports)), depth) + ("" if depth else "\n")
 
 
-def reports_to_json(reports: Sequence[ScoreReport]) -> str:
-    return json_text([report_to_obj(*row) for row in ranked_rows(reports)])
+def rank_to_json(ranked: Ranking, summary: MatthewSummary | None = None) -> tuple[str, ...]:
+    """The ``rank`` document in pieces; a ``summary`` of ``ranked`` adds its ``"matthew"`` rows."""
+    pieces = ['{\n  "ranking": ', reports_to_json(ranked, 1)]
+    if summary is not None:
+        pieces += [f',\n  "matthew": {{\n    "improved_by_i3_rank": {summary.improved},\n'
+                   '    "displacements": ', json_records(MATTHEW_HEADER, (
+                       (r.article_id, i, c, c - i) for r, i, c in ranked_rows(summary.ranked)), 2),
+                   "\n  }"]
+    return (*pieces, "\n}\n")
 
 
 def percentile_table_to_csv(table: PercentileTable) -> str:
@@ -254,15 +249,7 @@ def percentile_table_to_csv(table: PercentileTable) -> str:
     return csv_text(rows)
 
 
-def matthew_to_obj(summary: MatthewSummary) -> dict:
-    return {
-        "improved_by_i3_rank": summary.improved,
-        "displacements": [dict(zip(MATTHEW_HEADER, (r.article_id, i, c, c - i)))
-                          for r, i, c in ranked_rows(summary.ranked)],
-    }
-
-
 def matthew_to_csv(summary: MatthewSummary) -> str:
-    return _chunked(csv_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER]), (
+    return chunked_text(csv_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER]), (
         f"{csv_cell(r.article_id)},{i},{c},{c - i}\n"
         for r, i, c in ranked_rows(summary.ranked)))

@@ -22,6 +22,7 @@ import i3metrics
 from i3metrics import cli
 from i3metrics.cli import main
 from i3metrics.core import compute_beta, compute_i3
+from i3metrics.formats import json_text
 
 
 def run(capsys, *argv):
@@ -203,6 +204,10 @@ class TestScore:
         code, out, _ = run(capsys, "score", *data, "--format", "json")
         assert code == 0
         assert json.loads(out) == []
+
+    def test_empty_selection_json_prints_the_empty_document(self, capsys, data):
+        code, out, err = run(capsys, "score", *data, "--format", "json")
+        assert (code, out, err) == (0, "[]\n", "")
 
     def test_ids_follow_request_order(self, capsys, data):
         code, out, _ = run(capsys, "score", *data, "a-2", "a-1")
@@ -391,6 +396,35 @@ class TestRank:
         code, out, _ = run(capsys, "rank", *data, "--format", "json")
         assert code == 0
         assert "matthew" not in json.loads(out)
+
+    def test_json_with_header_only_files_prints_the_empty_ranking(self, capsys, data):
+        for flag, header in (("--articles", "article_id,journal,publication_date\n"),
+                             ("--citations", "article_id,citing_journal,citation_date\n")):
+            Path(data[data.index(flag) + 1]).write_text(header, encoding="utf-8")
+        code, out, err = run(capsys, "rank", *data, "--format", "json")
+        assert (code, out, err) == (0, json_text({"ranking": []}), "")
+
+    @pytest.mark.parametrize("matthew", [True, False])
+    def test_json_document_is_json_text_of_its_objects(self, capsys, quoted, matthew):
+        paths = {flag: quoted[quoted.index(flag) + 1]
+                 for flag in ("--catalog", "--articles", "--citations")}
+        with open(paths["--catalog"], encoding="utf-8", newline="") as stream:
+            catalog = i3metrics.load_catalog(stream)
+        with open(paths["--articles"], encoding="utf-8", newline="") as articles, \
+                open(paths["--citations"], encoding="utf-8", newline="") as citations:
+            ledger = i3metrics.load_ledger(articles, citations)
+        ranked = i3metrics.rank(i3metrics.score_articles(ledger, catalog))
+        doc = {"ranking": [dict(zip(i3metrics.ranking.REPORT_HEADER, (
+            r.article_id, r.category, r.phi, r.beta, r.f_score, r.i3, r.citation_count, i, c)))
+            for r, i, c in i3metrics.ranked_rows(ranked)]}
+        if matthew:
+            summary = i3metrics.matthew_comparison(ranked)
+            doc["matthew"] = {"improved_by_i3_rank": summary.improved, "displacements": [
+                dict(zip(i3metrics.ranking.MATTHEW_HEADER, (r.article_id, i, c, c - i)))
+                for r, i, c in i3metrics.ranked_rows(ranked)]}
+        code, out, err = run(capsys, "rank", *quoted, "--format", "json",
+                             *["--matthew"] * matthew)
+        assert (code, out, err) == (0, json_text(doc), "")
 
     def test_matthew_needs_two_articles(self, capsys, uncited):
         code, _, err = run(capsys, "rank", *uncited, "--matthew")

@@ -1,8 +1,9 @@
-"""The shared number grammar, the CSV reader and the JSON writer."""
+"""The shared number grammar, the CSV reader and the JSON writers."""
 
 import csv
 import io
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ from i3metrics.formats import (
     ascii_float,
     ascii_int,
     fmt_score,
+    json_records,
     json_text,
     read_csv,
 )
@@ -28,6 +30,75 @@ def test_json_text_refuses_non_finite_numbers(value):
 
 def test_json_text_is_indented_and_ends_with_a_line_feed():
     assert json_text({"a": [1, 0.5, None]}) == '{\n  "a": [\n    1,\n    0.5,\n    null\n  ]\n}\n'
+
+
+# -- the records writer ------------------------------------------------
+
+# What json.dumps escapes (quotes, backslashes, C0 controls, DEL, non-ASCII,
+# astral characters, lone surrogates), a template's %, and plain letters.
+json_strings = st.text(st.one_of(
+    st.sampled_from(list('"\\\x7f%é\u2028\U0001d11e\ud800\udbff\udc00\udfffab')),
+    st.characters(max_codepoint=0x1F), st.characters()), max_size=6)
+json_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, sys.float_info.max,
+                     -sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+json_values = st.one_of(json_strings, json_floats, st.integers(-(2**63), 2**63),
+                        st.none(), st.booleans())
+
+
+@st.composite
+def json_tables(draw):
+    keys = draw(st.lists(json_strings, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(*[json_values] * len(keys)), max_size=7))
+    return keys, rows
+
+
+def nested_json_text(keys, rows, depth):
+    """``json_text`` of the records' list under ``depth`` single-key objects, and its wrapping."""
+    doc = [dict(zip(keys, row)) for row in rows]
+    for _ in range(depth):
+        doc = {"k": doc}
+    head = "".join("{\n" + "  " * (level + 1) + '"k": ' for level in range(depth))
+    tail = "".join("\n" + "  " * level + "}" for level in reversed(range(depth)))
+    return json_text(doc), head, tail + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_tables(), st.integers(0, 2), st.integers(1, 3))
+def test_records_print_the_bytes_of_json_text(table, depth, chunk):
+    keys, rows = table
+    text, head, tail = nested_json_text(keys, rows, depth)
+    with mock.patch.object(formats, "_CHUNK_LINES", chunk):
+        assert head + json_records(keys, iter(rows), depth) + tail == text
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_an_empty_list_of_records_prints_as_json_text_prints_it(depth):
+    text, head, tail = nested_json_text(["a"], [], depth)
+    assert head + json_records(["a"], [], depth) + tail == text
+    assert json_records(["a"], []) == "[]"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rows", [  # BAD marks where the value goes
+    [("BAD",)], [("a", 1.0), (None, "BAD")], [(1.0, 2.0)] * 4 + [(0.5, "BAD")]])
+def test_records_refuse_non_finite_numbers_as_json_text_does(value, rows):
+    rows = [tuple(value if cell == "BAD" else cell for cell in row) for row in rows]
+    keys = ["x", "y"][:len(rows[0])]
+    with pytest.raises(ValueError) as expected:
+        json_text([dict(zip(keys, row)) for row in rows])
+    assert str(expected.value) == f"Out of range float values are not JSON compliant: {value!r}"
+    with mock.patch.object(formats, "_CHUNK_LINES", 2), pytest.raises(ValueError) as got:
+        json_records(keys, rows)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+def test_records_name_the_first_non_finite_number_in_document_order(chunk):
+    rows = [(1.0, 2.0), (0.5, math.inf), (math.nan, -math.inf)]
+    with mock.patch.object(formats, "_CHUNK_LINES", chunk), pytest.raises(ValueError, match=": inf$"):
+        json_records(["x", "y"], rows)
 
 
 @pytest.mark.parametrize("raw", ["1_0", "１", "٣", "１.５"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from i3metrics import ledger as ledger_module, ranking
+from i3metrics import formats, ledger as ledger_module, ranking
 from i3metrics.catalog import load_catalog
 from i3metrics.core import compute_beta, compute_i3, i3_auc, solve_beta
 from i3metrics.errors import InputError
@@ -30,10 +30,10 @@ from i3metrics.ranking import (
     assign_ranks,
     matthew_comparison,
     matthew_to_csv,
-    matthew_to_obj,
     percentile_table,
     percentile_table_to_csv,
     rank,
+    rank_to_json,
     ranked_rows,
     reports_to_csv,
     reports_to_json,
@@ -360,6 +360,11 @@ class TestPercentileTable:
             percentile_table(reports, "c")
 
 
+def displacements(summary):
+    """The Matthew rows of the ``rank`` document, as ``json.loads`` reads them."""
+    return json.loads("".join(rank_to_json(summary.ranked, summary)))["matthew"]["displacements"]
+
+
 class TestMatthewComparison:
     def test_identical_if_corpus_has_zero_divergence(self):
         # f affine in the citation count: both rankings coincide.
@@ -367,14 +372,14 @@ class TestMatthewComparison:
                    for k in range(10)]
         summary = matthew_comparison(rank(reports))
         assert summary.improved == 0
-        assert all(d["displacement"] == 0 for d in matthew_to_obj(summary)["displacements"])
+        assert all(d["displacement"] == 0 for d in displacements(summary))
 
     def test_high_impact_citations_beat_raw_counts(self):
         # 3 citations from IF-10 journals against 30 from IF-0.1 ones.
         selective = report("selective", 2.0 + 3 * 10.0, citations=3)
         prolific = report("prolific", 2.0 + 30 * 0.1, citations=30)
         summary = matthew_comparison(rank([prolific, selective]))
-        by_id = {d["article_id"]: d for d in matthew_to_obj(summary)["displacements"]}
+        by_id = {d["article_id"]: d for d in displacements(summary)}
         assert by_id["selective"]["rank_i3"] == 1
         assert by_id["selective"]["rank_citations"] == 2
         assert by_id["selective"]["displacement"] == 1
@@ -387,8 +392,7 @@ class TestMatthewComparison:
                           citations=rng.randrange(200))
                    for k in range(30)]
         summary = matthew_comparison(rank(reports))
-        displacements = matthew_to_obj(summary)["displacements"]
-        assert [d["rank_i3"] for d in displacements] == list(range(1, 31))
+        assert [d["rank_i3"] for d in displacements(summary)] == list(range(1, 31))
 
     @given(st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=5000.0),
@@ -398,7 +402,7 @@ class TestMatthewComparison:
         reports = [report(f"a-{k:03d}", f, citations=count)
                    for k, (f, count) in enumerate(rows)]
         summary = matthew_comparison(rank(reports))
-        assert sum(d["displacement"] for d in matthew_to_obj(summary)["displacements"]) == 0
+        assert sum(d["displacement"] for d in displacements(summary)) == 0
 
     def test_needs_two_articles(self):
         with pytest.raises(InputError, match="at least 2"):
@@ -490,7 +494,7 @@ def csv_writer_matthew(summary):
 
 # Cells that need quoting: a comma, a quote, a line feed; and a non-ASCII one.
 NEEDS_CARE = ("a,{}", 'q"{}', "l\n{}", "é{}")
-CHUNK = ranking._CHUNK_LINES
+CHUNK = formats._CHUNK_LINES
 
 
 class TestLineWriters:
@@ -532,12 +536,13 @@ class TestLineWriters:
     def test_writers_hold_about_twice_their_text(self):
         # Joined at once, every line string lives beside the text: 3x its
         # length, over 4x for the short Matthew lines.  Joined a chunk at a
-        # time, the chunks and the text: 2x.
+        # time, the chunks and the text: 2x.  The JSON records likewise.
         reports = [report(f"a-{k:05d}", k * 0.37, category=f"c-{k % 7}", citations=k % 13)
                    for k in range(5000)]
         ranked = rank(reports)
         calls = [(reports_to_csv, ranked), (reports_to_csv, reports),
-                 (matthew_to_csv, matthew_comparison(ranked))]
+                 (matthew_to_csv, matthew_comparison(ranked)),
+                 (reports_to_json, ranked), (reports_to_json, reports)]
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:

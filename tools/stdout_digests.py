@@ -6,11 +6,16 @@ Usage::
 
 Writes ``gen --articles 2000 --categories 20 --seed 5`` once, with the
 running interpreter, into a temporary directory.  Then it runs each
-case of ``CASES`` on that corpus as ``PYTHON -m i3metrics.cli ...``
-under the running interpreter and under each given one, one process per
-case, with the package imported from ``src/``.  The cases are the nine
-commands of ``tests/test_stdout_bytes.py``, ``catalog-stats`` as JSON
-and one ten-anniversary ``dynamics`` report as JSON.
+case of ``CASES`` on that corpus, and each case of ``ESCAPED_CASES``
+on the small corpus ``ESCAPED`` written out below, as
+``PYTHON -m i3metrics.cli ...`` under the running interpreter and under
+each given one, one process per case, with the package imported from
+``src/``.  The cases are the nine commands of
+``tests/test_stdout_bytes.py``, ``catalog-stats`` as JSON, one
+ten-anniversary ``dynamics`` report as JSON, and ``score --all`` as JSON
+and ``rank --matthew`` as JSON and CSV on ids, journals and categories
+that hold quotes, backslashes, commas and non-ASCII characters, so the
+writers' escaping and quoting are compared too.
 
 Prints ``case  version  sha256`` for each case and interpreter, the
 running interpreter first, after one ``# version: path`` line per
@@ -50,6 +55,38 @@ CASES = {
     "dynamics-cited-years-1-10-json": ["dynamics", "a-00007", "--years",
                                        "1,2,3,4,5,6,7,8,9,10", "--format", "json"],
 }
+ESCAPED_CASES = {
+    "escaped-score-all-json": ["score", "--all", "--format", "json"],
+    "escaped-rank-matthew-json": ["rank", "--matthew", "--format", "json"],
+    "escaped-rank-matthew-csv": ["rank", "--matthew"],
+}
+# Quotes, backslashes and commas in cells, non-ASCII ones and an astral one.
+ESCAPED = {
+    "catalog": r"""category,journal,issn,year,impact_factor
+"Bio ""Marine"", Deep",Ætna \ Letters,,2010,2.0
+"Bio ""Marine"", Deep",Ætna \ Letters,,2015,3.5
+"Bio ""Marine"", Deep","Journal ""B"", Série",,2010,1.25
+Físico\Química,Zeitschrift für Physik,,2010,0.75
+Físico\Química,東京 Review,,2012,4.0
+""",
+    "articles": r"""article_id,journal,publication_date
+"a,1",Ætna \ Letters,2011-05-01
+"q""2",東京 Review,2013-02-03
+b\3,"Journal ""B"", Série",2012-07-09
+é-4,zeitschrift für physik,2014-11-30
+𝄞-5,Ætna \ Letters,2015-01-01
+""",
+    "citations": r"""article_id,citing_journal,citation_date
+"a,1","Journal ""B"", Série",2012-01-01
+"a,1",東京 Review,2013-06-15
+"a,1",Ætna \ Letters,2016-03-01
+"q""2",Ætna \ Letters,2014-01-01
+b\3,Zeitschrift für Physik,2013-05-05
+b\3,Zeitschrift für Physik,2014-05-05
+b\3,東京 Review,2015-05-05
+𝄞-5,"Journal ""B"", Série",2016-02-29
+""",
+}
 
 
 def _run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
@@ -59,12 +96,14 @@ def _run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, timeout=600)
 
 
-def digests(python: str, corpus: Path) -> dict[str, str]:
+def digests(python: str, corpus: Path, escaped: Path) -> dict[str, str]:
     """The sha256 of each case's stdout under ``python``, or ``error (exit N)``."""
     out = {}
-    for name, argv in CASES.items():
+    cases = [(name, argv, corpus) for name, argv in CASES.items()]
+    cases += [(name, argv, escaped) for name, argv in ESCAPED_CASES.items()]
+    for name, argv, root in cases:
         files = DATA[:1] if argv[0] == "catalog-stats" else DATA
-        data = [arg for f in files for arg in (f"--{f}", str(corpus / f"{f}.csv"))]
+        data = [arg for f in files for arg in (f"--{f}", str(root / f"{f}.csv"))]
         done = _run(python, argv + data)
         out[name] = (hashlib.sha256(done.stdout).hexdigest()
                      if done.returncode == 0 and not done.stderr
@@ -82,17 +121,20 @@ def main(argv: list[str]) -> int:
     pythons = [sys.executable] + [p for p in argv
                                   if os.path.realpath(p) != os.path.realpath(sys.executable)]
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = Path(tmp)
+        corpus, escaped = Path(tmp) / "gen", Path(tmp) / "escaped"
         done = _run(sys.executable, GEN + ["--out", str(corpus)])
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode("utf-8", "replace"))
             return 1
-        results = [(version(p), digests(p, corpus)) for p in pythons]
+        escaped.mkdir()
+        for name, text in ESCAPED.items():
+            (escaped / f"{name}.csv").write_text(text, encoding="utf-8")
+        results = [(version(p), digests(p, corpus, escaped)) for p in pythons]
     for python, (label, _) in zip(pythons, results):
         print(f"# {label}: {python}")
     reference = results[0][1]
     differ = 0
-    for name in CASES:
+    for name in [*CASES, *ESCAPED_CASES]:
         for label, found in results:
             mark = "" if found[name] == reference[name] else "  differs"
             differ += bool(mark)
