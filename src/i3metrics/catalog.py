@@ -40,6 +40,7 @@ __all__ = [
 CATALOG_HEADER = ["category", "journal", "issn", "year", "impact_factor"]
 
 _ISSN_RE = re.compile(r"^[0-9]{4}-[0-9]{3}[0-9X]$")
+_YEAR_RE = re.compile(r"[0-9]{4}")
 
 
 def canonical_name(name: str) -> str:
@@ -211,7 +212,7 @@ def _mean(values: list[float]) -> float:
 
 
 def _parse_year(raw: str, source: str, lineno: int) -> int:
-    if not re.fullmatch(r"[0-9]{4}", raw):
+    if not _YEAR_RE.fullmatch(raw):
         raise InputError(f"{source} line {lineno}: year must be a 4-digit integer, got {raw!r}")
     return int(raw)
 

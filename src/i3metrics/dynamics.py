@@ -30,7 +30,8 @@ from .catalog import Catalog
 from .core import compute_i3, i3_auc, i3_derivative
 from .errors import InputError
 from .formats import csv_text, fmt_beta, fmt_score, json_text
-from .ledger import Ledger, anniversary_masses, f_score, factor_table
+# Not called here; kept because bench/tracing.py wraps dynamics.f_score.
+from .ledger import Ledger, _report_masses, f_score  # noqa: F401
 
 __all__ = [
     "DynamicsPoint",
@@ -96,16 +97,11 @@ def dynamics_report(
     ``years`` must pass :func:`check_years`.
     """
     check_years(years)
-
-    f_full = f_score(ledger, catalog, article_id, if_mode="current",
-                     fallback_if=fallback_if)
-    beta = factor_table(ledger, catalog, fallback_if).publisher(
-        ledger.articles[article_id].journal).beta
+    f_full, beta, masses = _report_masses(ledger, catalog, article_id, years, fallback_if)
     i3_full = compute_i3(f_full, beta)
     auc_full = i3_auc(f_full, beta)
 
     series = []
-    masses = anniversary_masses(ledger, catalog, article_id, years, fallback_if)
     for t, f_t in zip(years, masses):
         i3_t = compute_i3(f_t, beta)
         if i3_full == 0.0:

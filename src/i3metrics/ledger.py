@@ -18,21 +18,20 @@ impact factors are non-negative and groups are summed in a fixed
 order, a truncated mass never exceeds the full one, even in floating
 point.
 
-Every mass comes from one routine, :func:`_masses`, which reports the
-mass of an article at several ascending cutoffs, each window a prefix
-of the next: :func:`f_score` asks for one cutoff,
-:func:`anniversary_masses` for several anniversaries,
-:func:`validate_truncation` for a truncated window and the full
-history.  One key list per call grows with each window: a cutoff whose
-window grew appends the new rows' group keys, re-sorts the list and
-walks it once, adding each run of equal keys as ``run length * factor``
-onto the publishing IF.  Errors surface as if each cutoff were
-scored on its own, in turn: a bad ``fallback_if``, a bad ``as_of``, an
-unknown article id, a window that ends after year 9999, the publishing
-journal, uncatalogued citing journals, the first failing impact factor
-in sorted key order, then overflow.  The factors come from the ledger's
-factor table (see :class:`Ledger`), so each is resolved once per
-catalog and ``fallback_if``, not per article.
+Every mass is a fold (:func:`_fold`) of sorted group keys onto the
+publishing IF, each run of equal keys added as ``run length * factor``,
+and every window ends on the day :func:`_last_day` gives.
+:func:`f_score` scores one window; :func:`anniversary_masses` and
+:func:`validate_truncation` are its calls in turn.  A dynamics report
+gets its current-IF full mass and its anniversary masses from one
+:func:`_report_masses` call, which grows one key list over the
+anniversaries.  Errors surface as if each window were scored on its
+own, in turn (a report's full mass first): a bad ``fallback_if``, a bad
+``as_of``, an unknown article id, a window that ends after year 9999,
+the publishing journal, uncatalogued citing journals, the first failing
+impact factor in sorted key order, then overflow.  The factors come
+from the ledger's factor table (see :class:`Ledger`), so each is
+resolved once per catalog and ``fallback_if``, not per article.
 """
 
 from __future__ import annotations
@@ -74,6 +73,7 @@ _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # A group key packs the rank of the canonical citing name with the
 # citation year; years have four digits, so they stay below this.
 _YEAR_SPAN = 10000
+_rank_of = _YEAR_SPAN.__rfloordiv__  # group key -> name rank
 
 # Every whole number up to this is exact as a float.
 _FLOAT_WHOLE = 2 ** 53
@@ -312,9 +312,9 @@ def shift_years(day: dt.date, years: int) -> dt.date:
     Feb-29 anniversaries in non-leap years land on Feb-28.
     """
     try:
-        return day.replace(year=day.year + years)
+        return dt.date(day.year + years, day.month, day.day)
     except ValueError:
-        return day.replace(year=day.year + years, day=28)
+        return dt.date(day.year + years, day.month, 28)
 
 
 def f_score(
@@ -339,13 +339,11 @@ def f_score(
     ``fallback_if`` supplies a stand-in impact factor; the publishing
     journal must always resolve.  A ``fallback_if`` that is a bool, not
     a number, or not a finite double >= 0 is refused, as is a mass that
-    overflows a double, with a :class:`ValueError`.  The mass is the one
-    cutoff of :func:`_masses`; the module docstring gives the order of
-    the errors.
+    overflows a double, with a :class:`ValueError`.  The module docstring
+    gives the order of the errors.
     """
     check_scoring(if_mode=if_mode)
-    return _masses(ledger, catalog, article_id, (as_of,), if_mode == "historical",
-                   fallback_if)[0]
+    return _mass(ledger, catalog, article_id, as_of, if_mode == "historical", fallback_if)
 
 
 def anniversary_masses(
@@ -359,13 +357,13 @@ def anniversary_masses(
 
     Equal, float for float and error for error, to calling
     :func:`f_score` with ``as_of=t`` and ``if_mode="historical"`` for
-    each ``t`` in turn, but computed by one :func:`_masses` call.  Years
-    out of order are refused with a :class:`ValueError`.
+    each ``t`` in turn.  Years out of order are refused with a
+    :class:`ValueError`.
     """
-    # Years that are not whole numbers are left for _masses to refuse, in turn, with its text.
+    # Years that are not whole numbers are left for f_score to refuse, in turn, with its text.
     if any(a >= b for a, b in zip(years, years[1:]) if type(a) is type(b) is int):
         raise ValueError(f"years must be strictly ascending, got {list(years)!r}")
-    return _masses(ledger, catalog, article_id, years, True, fallback_if)
+    return [_mass(ledger, catalog, article_id, t, True, fallback_if) for t in years]
 
 
 def citation_count(ledger: Ledger, article_id: str, as_of: int | None = None) -> int:
@@ -384,70 +382,80 @@ def validate_truncation(
 ) -> bool:
     """Check that the mass truncated at ``t`` years never exceeds the full mass.
 
-    Current impact factors; both masses come from one :func:`_masses` pass.
+    Current impact factors, the truncated mass first.
     """
-    truncated, full = _masses(ledger, catalog, article_id, (t, None), False, fallback_if)
-    return truncated <= full
+    return (_mass(ledger, catalog, article_id, t, False, fallback_if)
+            <= _mass(ledger, catalog, article_id, None, False, fallback_if))
 
 
-def _masses(
-    ledger: Ledger,
-    catalog: Catalog,
-    article_id: str,
-    cutoffs: Sequence[int | None],
-    historical: bool,
-    fallback_if: float | None,
-) -> list[float]:
-    """Mass of one article at each of the ascending ``cutoffs`` (``None``: full history).
-
-    One key list per call grows with each window: a cutoff whose window
-    grew appends the new rows' group keys (citing journal, and year when
-    IFs are historical), re-sorts the list, journal first, then year, and
-    walks it once, adding ``run length * factor`` for each run of equal
-    keys onto the publishing IF; a cutoff that adds no rows repeats the
-    last mass.  Only the new rows are checked for uncatalogued journals.
-    Every factor comes from the ledger's factor table, and the errors
-    come in the order the module docstring gives.
-    """
+def _mass(ledger: Ledger, catalog: Catalog, article_id: str, as_of: int | None,
+          historical: bool, fallback_if: float | None) -> float:
+    """Mass of one article, its window ``as_of`` years long (``None``: full history)."""
     table = factor_table(ledger, catalog, fallback_if)
-    factors = table if historical else table.current
-    unknown = table.unknown if fallback_if is None else None
-    masses: list[float] = []
-    article = None
+    if as_of is not None:
+        check_scoring(as_of)
+    article = ledger.articles.get(article_id) or ledger.article(article_id)
+    start, stop = window_rows(ledger, article_id, article, as_of)
+    rows = ledger.groups[start:stop]
     try:
-        for cutoff in cutoffs:
-            if cutoff is not None:
-                check_scoring(cutoff)
-            article = article or ledger.articles.get(article_id) or ledger.article(article_id)
-            start, stop = window_rows(ledger, article_id, article, cutoff)
+        publisher = table.publisher(article.journal)
+        if historical:
+            psi_a, factors = table[publisher.base + article.publication_date.year], table
+        else:  # with current IFs a key is the name rank alone
+            psi_a, factors, rows = publisher.current_if, table.current, map(_rank_of, rows)
+        _check_catalogued(ledger, table, start, stop)
+        return _fold(article_id, psi_a, [], rows, factors)
+    except ResolutionError as exc:
+        raise ResolutionError(f"article {article_id!r}: {exc}") from None
+
+
+def _report_masses(ledger: Ledger, catalog: Catalog, article_id: str, years: Sequence[int],
+                   fallback_if: float | None) -> tuple[float, float, list[float]]:
+    """The current-IF full mass, the publisher's beta and the historical-IF masses at the
+    checked ``years`` of one article, equal to :func:`f_score`, then :func:`anniversary_masses`.
+    One key list grows over the anniversaries, each bisected on from the last stop."""
+    table = factor_table(ledger, catalog, fallback_if)
+    article = ledger.articles.get(article_id) or ledger.article(article_id)
+    start = stop = ledger.offsets[article.position]
+    end = ledger.offsets[article.position + 1]
+    try:
+        publisher = table.publisher(article.journal)
+        _check_catalogued(ledger, table, start, end)  # each window is a prefix of these rows
+        full = _fold(article_id, publisher.current_if, [],
+                     map(_rank_of, ledger.groups[start:end]), table.current)
+        masses, keys = [], []
+        for t in years:
+            cutoff = _last_day(article_id, article, t)
             if not masses:
-                publisher = table.publisher(article.journal)
-                total = psi_a = (factors[publisher.base + article.publication_date.year]
-                                 if historical else publisher.current_if)
-                counted, keys = start, []
-            if stop > counted:
-                rows = ledger.groups[counted:stop]
-                if unknown and not unknown.isdisjoint(map(_YEAR_SPAN.__rfloordiv__, rows)):
-                    raise _uncatalogued(ledger, start, stop, unknown)
-                # With current IFs a key is the name rank alone.
-                keys += rows if historical else map(_YEAR_SPAN.__rfloordiv__, rows)
-                keys.sort()  # one sorted run and the new tail
-                counted = stop
-                total, run, n = psi_a, keys[0], 0
-                for key in keys:
-                    if key == run:
-                        n += 1
-                    else:
-                        total += n * factors[run]
-                        run, n = key, 1
-                total += n * factors[run]
-                if total == math.inf:
-                    raise ValueError(f"article {article_id!r}: citation mass overflows a "
-                                     f"double (impact factors too large)")
+                total = psi_a = table[publisher.base + article.publication_date.year]
+            if (new := bisect_right(ledger.days, cutoff, stop, end)) > stop:
+                total = _fold(article_id, psi_a, keys, ledger.groups[stop:new], table)
+                stop = new
             masses.append(total)
     except ResolutionError as exc:
         raise ResolutionError(f"article {article_id!r}: {exc}") from None
-    return masses
+    return full, publisher.beta, masses
+
+
+def _fold(article_id: str, total: float, keys: list[int], new, factors) -> float:
+    """``total`` plus ``run length * factor`` for each run of equal keys once the
+    sorted ``keys`` take the ``new`` ones, in order; a sum that overflows is refused."""
+    keys += new
+    if not keys:
+        return total
+    keys.sort()  # one sorted run and the new tail
+    run, n = keys[0], 0
+    for key in keys:
+        if key == run:
+            n += 1
+        else:  # a run of one adds its factor itself, as 1 * factor would
+            total += factors[run] if n == 1 else n * factors[run]
+            run, n = key, 1
+    total += n * factors[run]
+    if total == math.inf:
+        raise ValueError(f"article {article_id!r}: citation mass overflows a "
+                         f"double (impact factors too large)")
+    return total
 
 
 def factor_table(ledger: Ledger, catalog: Catalog, fallback_if: float | None) -> _Factors:
@@ -469,13 +477,17 @@ def window_rows(ledger: Ledger, article_id: str, article: ArticleRecord,
     of ``article_id``, up to ``as_of`` years after publication (checked by the caller)."""
     start, stop = ledger.offsets[article.position], ledger.offsets[article.position + 1]
     if as_of is not None:
-        if article.publication_date.year + as_of > dt.MAXYEAR:
-            raise ValueError(
-                f"as_of {as_of} ends the citation window of article {article_id!r} "
-                f"(published {article.publication_date}) after year {dt.MAXYEAR}")
-        cutoff = shift_years(article.publication_date, as_of).toordinal()
-        stop = bisect_right(ledger.days, cutoff, start, stop)
+        stop = bisect_right(ledger.days, _last_day(article_id, article, as_of), start, stop)
     return start, stop
+
+
+def _last_day(article_id: str, article: ArticleRecord, as_of: int) -> int:
+    """The last day, as an ordinal, of a window ``as_of`` years long (the window rule)."""
+    if article.publication_date.year + as_of > dt.MAXYEAR:
+        raise ValueError(
+            f"as_of {as_of} ends the citation window of article {article_id!r} "
+            f"(published {article.publication_date}) after year {dt.MAXYEAR}")
+    return shift_years(article.publication_date, as_of).toordinal()
 
 
 def check_scoring(as_of: int | None = None, if_mode: str = "current") -> None:
@@ -498,14 +510,17 @@ def _finite_factor(value) -> bool:
         return False
 
 
-def _uncatalogued(ledger: Ledger, start: int, stop: int, unknown: set[int]) -> ResolutionError:
-    """The error listing the ``unknown`` citing journals in the rows, in name order,
-    each by its first spelling there."""
+def _check_catalogued(ledger: Ledger, table: _Factors, start: int, stop: int) -> None:
+    """Without a ``fallback_if``, refuse rows citing journals not in the catalog,
+    naming them in name order, each by its first spelling there."""
+    unknown = table.unknown if table.fallback_if is None else None
+    if not unknown or unknown.isdisjoint(map(_rank_of, ledger.groups[start:stop])):
+        return
     first: dict[int, str] = {}
     for s, key in zip(ledger.spelled[start:stop], ledger.groups[start:stop]):
         first.setdefault(key // _YEAR_SPAN, ledger.spellings[s])
-    return ResolutionError("citing journals not in catalog: "
-                           + ", ".join(first[rank] for rank in sorted(unknown.intersection(first))))
+    raise ResolutionError("citing journals not in catalog: " + ", ".join(
+        first[rank] for rank in sorted(unknown.intersection(first))))
 
 
 def _intern_spelling(raw: str, ids: dict[str, int], spellings: list[str],

@@ -18,8 +18,8 @@ from i3metrics.dynamics import (
     dynamics_to_csv,
     dynamics_to_json,
 )
-from i3metrics.errors import InputError
-from i3metrics.ledger import load_ledger
+from i3metrics.errors import InputError, ResolutionError
+from i3metrics.ledger import anniversary_masses, load_ledger
 
 
 def build(phi, article_rows, citation_rows, journal_ifs=None):
@@ -133,6 +133,41 @@ class TestDynamicsReport:
         catalog, ledger = build(2, ["a,home,2015-06-15\n"], [])
         with pytest.raises(InputError, match="positive integers"):
             dynamics_report(ledger, catalog, "a", [True])
+
+
+class TestFullMassErrorComesFirst:
+    """The full-history mass and the year-1 mass fail differently; a report
+    raises the full-history error, as scoring the full history first would."""
+
+    CATALOG = ("category,journal,issn,year,impact_factor\n"
+               "c,Home,,2010,1.0\nc,Late,,2017,2.0\nc,Big,,2010,1e308\n")
+    ARTICLES = "article_id,journal,publication_date\na,Home,2015-01-01\n"
+    # Late is cited in year 1, but its history starts in 2017.
+    LATE_IN_YEAR_1 = "article_id,citing_journal,citation_date\na,Late,2015-06-01\n"
+    YEAR_1_ERROR = ("article 'a': journal 'Late' has no impact factor on or before 2015 "
+                    "(history starts 2017)")
+
+    def outcomes(self, citations):
+        catalog = load_catalog(io.StringIO(self.CATALOG))
+        ledger = load_ledger(io.StringIO(self.ARTICLES), io.StringIO(citations))
+        with pytest.raises(ResolutionError) as year_1:
+            anniversary_masses(ledger, catalog, "a", [1, 2])
+        assert str(year_1.value) == self.YEAR_1_ERROR
+        with pytest.raises((ResolutionError, ValueError)) as report:
+            dynamics_report(ledger, catalog, "a", [1, 2])
+        return type(report.value), str(report.value)
+
+    def test_uncatalogued_journal_after_the_last_anniversary(self):
+        # Ghost enters in 2019, after year 2 ends, and there is no fallback.
+        citations = self.LATE_IN_YEAR_1 + "a,Ghost,2019-06-01\n"
+        assert self.outcomes(citations) == (
+            ResolutionError, "article 'a': citing journals not in catalog: Ghost")
+
+    def test_full_mass_at_current_ifs_overflows(self):
+        citations = self.LATE_IN_YEAR_1 + "a,Big,2018-06-01\na,Big,2019-06-01\n"
+        assert self.outcomes(citations) == (
+            ValueError, "article 'a': citation mass overflows a double "
+                        "(impact factors too large)")
 
 
 class TestCompareAuc:

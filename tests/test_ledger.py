@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from i3metrics import formats
 from i3metrics import ledger as ledger_module
 from i3metrics.catalog import load_catalog
+from i3metrics.dynamics import dynamics_report
 from i3metrics.errors import InputError, ResolutionError
 from i3metrics.ledger import (
     anniversary_masses,
@@ -327,7 +328,7 @@ class TestFallbackType:
 
 
 class TestGrownWindows:
-    """One key list grows across the anniversaries of one call."""
+    """One key list grows across the anniversaries of a dynamics report."""
 
     # Factors whose sums round, so that a changed summation order shows.
     CATALOG = """\
@@ -361,6 +362,8 @@ x,Alpha Letters,2019-01-01
                    1.3 + 0.3 + 0.7 + 2 * 1.7 + 2.9 + 2.9]
         alone = [f_score(ledger, catalog, "x", as_of=t, if_mode="historical") for t in (1, 2, 3)]
         assert anniversary_masses(ledger, catalog, "x", [1, 2, 3]) == alone == by_hand
+        report = dynamics_report(ledger, catalog, "x", [1, 2, 3])
+        assert [point.f_t for point in report.series] == by_hand
 
     def test_truncated_and_full_masses_equal_each_scored_alone(self):
         catalog, ledger = load(self.CATALOG, self.ARTICLES, self.CITATIONS)
@@ -368,9 +371,8 @@ x,Alpha Letters,2019-01-01
         by_hand = {1: [1.3 + 2 * 1.7 + 2.9, 1.3 + 2 * 0.3 + 3 * 1.7 + 2 * 2.9],
                    2: [1.3 + 0.3 + 3 * 1.7 + 2.9, 1.3 + 2 * 0.3 + 3 * 1.7 + 2 * 2.9]}
         for t, masses in by_hand.items():
-            # The two masses validate_truncation compares, from its one call.
-            assert ledger_module._masses(ledger, catalog, "x", (t, None), False, None) \
-                == [f_score(ledger, catalog, "x", as_of=t), f_score(ledger, catalog, "x")] \
+            # The two masses validate_truncation compares.
+            assert [f_score(ledger, catalog, "x", as_of=t), f_score(ledger, catalog, "x")] \
                 == masses
             assert validate_truncation(ledger, catalog, "x", t)
 
@@ -526,6 +528,11 @@ def test_long_runs_sum_like_the_dict_count(case, as_of, years):
     years.sort()
     assert anniversary_masses(ledger, catalog, "a", years, fallback) == dict_count_masses(
         ledger, catalog, "a", years, True, fallback)
+    # A dynamics report grows one key list over its anniversaries, which start at 1.
+    anniversaries = [t for t in years if t] or [1]
+    report = dynamics_report(ledger, catalog, "a", anniversaries, fallback)
+    assert [point.f_t for point in report.series] == dict_count_masses(
+        ledger, catalog, "a", anniversaries, True, fallback)
 
 
 # -- plain and quoted files load to equal ledgers ----------------------

@@ -6,8 +6,9 @@ Usage::
 
 Writes ``gen --articles 2000 --categories 20 --seed 5`` once, with the
 running interpreter, into a temporary directory.  Then it runs each
-case of ``CASES`` on that corpus, and each case of ``ESCAPED_CASES``
-on the small corpus ``ESCAPED`` written out below, as
+case of ``CASES`` on that corpus, each case of ``ESCAPED_CASES`` on
+the small corpus ``ESCAPED`` and each case of ``LEAP_CASES`` on the
+small corpus ``LEAP``, both written out below, as
 ``PYTHON -m i3metrics.cli ...`` under the running interpreter and under
 each given one, one process per case, with the package imported from
 ``src/``.  The cases are the nine commands of
@@ -15,7 +16,9 @@ each given one, one process per case, with the package imported from
 ten-anniversary ``dynamics`` report as JSON, and ``score --all`` as JSON
 and ``rank --matthew`` as JSON and CSV on ids, journals and categories
 that hold quotes, backslashes, commas and non-ASCII characters, so the
-writers' escaping and quoting are compared too.
+writers' escaping and quoting are compared too, and a ``dynamics``
+report as CSV and JSON on an article published on a leap day, whose
+anniversary windows end on Feb 28 and then on Feb 29.
 
 Prints ``case  version  sha256`` for each case and interpreter, the
 running interpreter first, after one ``# version: path`` line per
@@ -87,6 +90,25 @@ b\3,東京 Review,2015-05-05
 𝄞-5,"Journal ""B"", Série",2016-02-29
 """,
 }
+LEAP_CASES = {
+    "leap-dynamics-csv": ["dynamics", "l-1", "--years", "1,2,3,4"],
+    "leap-dynamics-json": ["dynamics", "l-1", "--years", "1,2,3,4", "--format", "json"],
+}
+# Cited on the first anniversary (Feb 28) and on the fourth (Feb 29).
+LEAP = {
+    "catalog": """category,journal,issn,year,impact_factor
+c,Leap Letters,,2015,1.5
+c,Leap Letters,,2019,2.5
+c,Cite Review,,2016,0.75
+""",
+    "articles": """article_id,journal,publication_date
+l-1,Leap Letters,2016-02-29
+""",
+    "citations": """article_id,citing_journal,citation_date
+l-1,Cite Review,2017-02-28
+l-1,Leap Letters,2020-02-29
+""",
+}
 
 
 def _run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
@@ -96,11 +118,12 @@ def _run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, timeout=600)
 
 
-def digests(python: str, corpus: Path, escaped: Path) -> dict[str, str]:
+def digests(python: str, corpus: Path, escaped: Path, leap: Path) -> dict[str, str]:
     """The sha256 of each case's stdout under ``python``, or ``error (exit N)``."""
     out = {}
     cases = [(name, argv, corpus) for name, argv in CASES.items()]
     cases += [(name, argv, escaped) for name, argv in ESCAPED_CASES.items()]
+    cases += [(name, argv, leap) for name, argv in LEAP_CASES.items()]
     for name, argv, root in cases:
         files = DATA[:1] if argv[0] == "catalog-stats" else DATA
         data = [arg for f in files for arg in (f"--{f}", str(root / f"{f}.csv"))]
@@ -121,20 +144,21 @@ def main(argv: list[str]) -> int:
     pythons = [sys.executable] + [p for p in argv
                                   if os.path.realpath(p) != os.path.realpath(sys.executable)]
     with tempfile.TemporaryDirectory() as tmp:
-        corpus, escaped = Path(tmp) / "gen", Path(tmp) / "escaped"
+        corpus, escaped, leap = Path(tmp) / "gen", Path(tmp) / "escaped", Path(tmp) / "leap"
         done = _run(sys.executable, GEN + ["--out", str(corpus)])
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode("utf-8", "replace"))
             return 1
-        escaped.mkdir()
-        for name, text in ESCAPED.items():
-            (escaped / f"{name}.csv").write_text(text, encoding="utf-8")
-        results = [(version(p), digests(p, corpus, escaped)) for p in pythons]
+        for root, files in ((escaped, ESCAPED), (leap, LEAP)):
+            root.mkdir()
+            for name, text in files.items():
+                (root / f"{name}.csv").write_text(text, encoding="utf-8")
+        results = [(version(p), digests(p, corpus, escaped, leap)) for p in pythons]
     for python, (label, _) in zip(pythons, results):
         print(f"# {label}: {python}")
     reference = results[0][1]
     differ = 0
-    for name in [*CASES, *ESCAPED_CASES]:
+    for name in [*CASES, *ESCAPED_CASES, *LEAP_CASES]:
         for label, found in results:
             mark = "" if found[name] == reference[name] else "  differs"
             differ += bool(mark)
