@@ -77,8 +77,8 @@ def solve_beta(target_i3: float, f: float) -> float:
 
     Inverts the index: returns ``-ln(1 - target_i3) / f``, so
     ``compute_i3(f, solve_beta(p, f))`` recovers ``p``.  Useful for
-    calibrating beta against an empirical percentile anchor instead of
-    a category title count.  A pair whose rate overflows a double or
+    calibrating beta against an empirical anchor mass instead of a
+    category title count.  A pair whose rate overflows a double or
     underflows to 0 is refused, like any other invalid beta.
     """
     if not 0.0 < target_i3 < 1.0:

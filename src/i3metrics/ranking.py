@@ -1,4 +1,4 @@
-"""Score reports, deterministic ranking, percentiles, divergence summary.
+"""Score reports, deterministic ranking, divergence summary.
 
 Ranking is descending by index, with a fixed tie-break chain: area
 under the curve (separates articles crowding the asymptote), then raw
@@ -32,19 +32,15 @@ from .ledger import Ledger, check_scoring, f_score, factor_table, window_rows
 __all__ = [
     "ScoreReport",
     "Ranking",
-    "PercentileTable",
     "MatthewSummary",
-    "PERCENTILE_LEVELS",
     "score_articles",
     "assign_ranks",
     "rank",
     "ranked_rows",
-    "percentile_table",
     "matthew_comparison",
     "reports_to_csv",
     "reports_to_json",
     "rank_to_json",
-    "percentile_table_to_csv",
     "matthew_to_csv",
 ]
 
@@ -54,10 +50,6 @@ REPORT_HEADER = [
 ]
 
 MATTHEW_HEADER = ["article_id", "rank_i3", "rank_citations", "displacement"]
-
-PERCENTILE_LEVELS = (50, 75, 90, 95, 99)
-
-MIN_PERCENTILE_SAMPLE = 20
 
 
 @dataclass(slots=True)
@@ -111,25 +103,13 @@ def score_articles(
     return reports
 
 
-def _index_key(report: ScoreReport):
-    # Index quantized to 1e-12; exact AUC separates near-asymptote ties.
-    return (
-        -round(report.i3, 12),
-        -i3_auc(report.f_score, report.beta),
-        -report.citation_count,
-        report.article_id,
-    )
-
-
-def _citation_key(report: ScoreReport):
-    return (-report.citation_count, report.article_id)
-
-
 def rank(reports: Sequence[ScoreReport]) -> Ranking:
     """The reports best first by index, with their citation-count ranks.
 
-    The only place ranks are computed, in the orders of :func:`_index_key`
-    and :func:`_citation_key` (reports of one id tie by index position).
+    The only place ranks are computed.  The index order is descending
+    index compared at 1e-12, then descending area, then descending
+    citation count, then ascending id; the citation order is descending
+    count, then ascending id (reports of one id tie by index position).
     Each key field is one column, the area computed once per distinct
     ``(f_score, beta)``; stable sorts on the columns, least significant
     first, give both orders, and no report is copied.  The citation
@@ -158,33 +138,6 @@ def assign_ranks(reports: Sequence[ScoreReport]) -> list[tuple[int, int]]:
     """``(rank_i3, rank_citations)`` of each report, in the input order."""
     ranks = {r.article_id: (i, c) for r, i, c in ranked_rows(rank(reports))}
     return [ranks[r.article_id] for r in reports]
-
-
-@dataclass(frozen=True)
-class PercentileTable:
-    category: str
-    thresholds: list[tuple[int, float]]  # (percentile, index value)
-
-
-def percentile_table(reports: Sequence[ScoreReport], category: str) -> PercentileTable:
-    """Empirical index quantiles for one category, nearest-rank method.
-
-    Nearest-rank is reproducible bit-for-bit across implementations,
-    unlike interpolated quantiles.  Refuses categories with fewer than
-    20 scored articles: reference thresholds from a handful of values
-    would be noise presented as calibration.
-    """
-    values = sorted(r.i3 for r in reports if r.category == category)
-    if not values:
-        raise InputError(f"no scored articles in category {category!r}")
-    if len(values) < MIN_PERCENTILE_SAMPLE:
-        raise InputError(
-            f"category {category!r} has only {len(values)} scored articles; "
-            f"at least {MIN_PERCENTILE_SAMPLE} are needed for a percentile table"
-        )
-    n = len(values)
-    return PercentileTable(category, [(p, values[(p * n + 99) // 100 - 1])
-                                      for p in PERCENTILE_LEVELS])
 
 
 @dataclass(frozen=True)
@@ -240,13 +193,6 @@ def rank_to_json(ranked: Ranking, summary: MatthewSummary | None = None) -> tupl
                        (r.article_id, i, c, c - i) for r, i, c in ranked_rows(summary.ranked)), 2),
                    "\n  }"]
     return (*pieces, "\n}\n")
-
-
-def percentile_table_to_csv(table: PercentileTable) -> str:
-    rows = [("category", "percentile", "i3")]
-    rows += [(table.category, percentile, fmt_score(value))
-             for percentile, value in table.thresholds]
-    return csv_text(rows)
 
 
 def matthew_to_csv(summary: MatthewSummary) -> str:

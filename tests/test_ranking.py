@@ -1,4 +1,4 @@
-"""Tests for ranking, percentile tables, and ranking-divergence reports."""
+"""Tests for scoring, ranking, serialization, and ranking-divergence reports."""
 
 import csv
 import io
@@ -15,23 +15,18 @@ from hypothesis import strategies as st
 
 from i3metrics import formats, ledger as ledger_module, ranking
 from i3metrics.catalog import load_catalog
-from i3metrics.core import compute_beta, compute_i3, i3_auc, solve_beta
+from i3metrics.core import compute_beta, compute_i3, i3_auc
 from i3metrics.errors import InputError
 from i3metrics.formats import csv_cell, csv_text, fmt_beta, fmt_score
 from i3metrics.ledger import citation_count, f_score, load_ledger
 from i3metrics.ranking import (
     MATTHEW_HEADER,
     REPORT_HEADER,
-    PercentileTable,
     Ranking,
     ScoreReport,
-    _citation_key,
-    _index_key,
     assign_ranks,
     matthew_comparison,
     matthew_to_csv,
-    percentile_table,
-    percentile_table_to_csv,
     rank,
     rank_to_json,
     ranked_rows,
@@ -41,6 +36,22 @@ from i3metrics.ranking import (
 )
 
 BETA = 0.00115129
+
+
+def _index_key(report):
+    """The index order as one tuple: the reference that ``rank()``'s column sorts must match."""
+    # Index quantized to 1e-12; exact AUC separates near-asymptote ties.
+    return (
+        -round(report.i3, 12),
+        -i3_auc(report.f_score, report.beta),
+        -report.citation_count,
+        report.article_id,
+    )
+
+
+def _citation_key(report):
+    """The citation-count order as one tuple."""
+    return (-report.citation_count, report.article_id)
 
 
 def report(article_id, f, beta=BETA, category="c", phi=92, citations=0):
@@ -306,60 +317,6 @@ a-1,cite,2017-06-01
         assert str(error.value) == message
 
 
-class TestPercentileTable:
-    def test_identical_scores_collapse(self):
-        reports = [report(f"a-{k}", 500.0) for k in range(25)]
-        table = percentile_table(reports, "c")
-        values = {value for _, value in table.thresholds}
-        assert values == {compute_i3(500.0, BETA)}
-
-    def test_nearest_rank_on_known_population(self):
-        # 20 evenly spaced masses: the nearest-rank thresholds pick
-        # the 10th, 15th, 18th, 19th, and 20th smallest scores.
-        reports = [report(f"a-{k:02d}", 100.0 * k) for k in range(1, 21)]
-        table = percentile_table(reports, "c")
-        expected_ranks = {50: 10, 75: 15, 90: 18, 95: 19, 99: 20}
-        for percentile, value in table.thresholds:
-            assert value == compute_i3(100.0 * expected_ranks[percentile], BETA)
-
-    def test_uniform_masses_put_anchor_at_median(self):
-        # f uniform over [0, 4000] at beta = 0.00115: the median lands
-        # on f = 2000, i.e. 1 - e^(-2.3), just under 0.90.
-        reports = [report(f"a-{k:04d}", 4000.0 * k / 4000, beta=0.00115)
-                   for k in range(4001)]
-        table = percentile_table(reports, "c")
-        median = dict(table.thresholds)[50]
-        assert median == compute_i3(2000.0, 0.00115)
-        assert median == pytest.approx(0.90, abs=0.01)
-
-    def test_calibrated_anchor_sits_at_ninetieth(self):
-        # Masses laid out so f = 2000 is the 90th-percentile mass, with
-        # beta solved to map it to 0.90.
-        beta = solve_beta(0.90, 2000.0)
-        reports = [report(f"a-{k:03d}", 2000.0 * k / 90, beta=beta)
-                   for k in range(1, 101)]
-        table = percentile_table(reports, "c")
-        assert dict(table.thresholds)[90] == pytest.approx(0.90, abs=0.02)
-
-    def test_thresholds_non_decreasing_and_bounded(self):
-        rng = random.Random(5)
-        reports = [report(f"a-{k:03d}", rng.uniform(0.0, 8000.0))
-                   for k in range(37)]
-        table = percentile_table(reports, "c")
-        values = [value for _, value in table.thresholds]
-        assert values == sorted(values)
-        assert all(0.0 <= v < 1.0 for v in values)
-
-    def test_unknown_category(self):
-        with pytest.raises(InputError, match="no scored articles"):
-            percentile_table([report("a", 1.0)], "elsewhere")
-
-    def test_small_sample_refused(self):
-        reports = [report(f"a-{k}", float(k)) for k in range(19)]
-        with pytest.raises(InputError, match="at least 20"):
-            percentile_table(reports, "c")
-
-
 def displacements(summary):
     """The Matthew rows of the ``rank`` document, as ``json.loads`` reads them."""
     return json.loads("".join(rank_to_json(summary.ranked, summary)))["matthew"]["displacements"]
@@ -427,18 +384,6 @@ class TestSerialization:
         obj = json.loads(reports_to_json(ranked))
         assert obj[0]["i3"] == compute_i3(10.0, BETA)
         assert obj[0]["rank_i3"] == 1
-
-    def test_percentile_csv(self):
-        reports = [report(f"a-{k:02d}", 100.0 * k) for k in range(1, 21)]
-        lines = percentile_table_to_csv(
-            percentile_table(reports, "c")).splitlines()
-        assert lines[0] == "category,percentile,i3"
-        assert len(lines) == 6
-        assert lines[1].startswith("c,50,")
-
-    def test_percentile_csv_refuses_a_carriage_return(self):
-        with pytest.raises(ValueError, match="carriage return"):
-            percentile_table_to_csv(PercentileTable("c\rd", [(50, 0.5)]))
 
     def test_matthew_csv(self):
         reports = [report("a", 32.0, citations=3),
