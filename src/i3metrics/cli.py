@@ -261,18 +261,18 @@ def _impact_factor(raw: str) -> float:
 def _score(args, ids) -> list:
     """Score reports for ``ids`` (every article when None) under the scoring flags."""
     check_scoring(args.as_of)
-    catalog, ledger = _load_inputs(args)
+    catalog, ledger = _load_inputs(args, args.as_of)
     return score_articles(ledger, catalog, ids, if_mode=args.if_mode, as_of=args.as_of,
                           fallback_if=args.fallback_if)
 
 
-def _load_inputs(args) -> tuple[Catalog, Ledger]:
+def _load_inputs(args, as_of=None) -> tuple[Catalog, Ledger]:
     _check_readable(args.catalog, args.articles, args.citations)
     catalog = _read_catalog(args.catalog)
     with open(args.articles, encoding=_ENCODING, newline="") as articles, \
             open(args.citations, encoding=_ENCODING, newline="") as citations:
         ledger = load_ledger(articles, citations, articles_source=args.articles,
-                             citations_source=args.citations)
+                             citations_source=args.citations, as_of=as_of)
     return catalog, ledger
 
 

@@ -9,7 +9,7 @@ The composite mass of an article is the impact factor of its
 publishing journal plus, for each citing journal, the number of
 citations from it times that journal's impact factor.  Citation counts
 are never stored; they are derived from the event log, which stays the
-single source of truth.
+single source of truth (of each window, when loaded with ``as_of``).
 
 Truncation (``as_of`` whole years after publication) keeps only the
 citations dated at or before the publication date shifted by that many
@@ -27,11 +27,12 @@ gets its current-IF full mass and its anniversary masses from one
 :func:`_report_masses` call, which grows one key list over the
 anniversaries.  Errors surface as if each window were scored on its
 own, in turn (a report's full mass first): a bad ``fallback_if``, a bad
-``as_of``, an unknown article id, a window that ends after year 9999,
-the publishing journal, uncatalogued citing journals, the first failing
-impact factor in sorted key order, then overflow.  The factors come
-from the ledger's factor table (see :class:`Ledger`), so each is
-resolved once per catalog and ``fallback_if``, not per article.
+``as_of``, an unknown article id, a window longer than the ledger's
+``as_of``, a window that ends after year 9999, the publishing journal,
+uncatalogued citing journals, the first failing impact factor in sorted
+key order, then overflow.  The factors come from the ledger's factor
+table (see :class:`Ledger`), so each is resolved once per catalog and
+``fallback_if``, not per article.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ import math
 import re
 from array import array
 from bisect import bisect_right
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import accumulate, count
-from operator import add
+from itertools import accumulate, chain, count, repeat
+from operator import add, sub
 from typing import IO, Sequence
 
 from .catalog import Catalog, canonical_name
@@ -157,8 +158,10 @@ class Ledger:
     rank of its canonical name in ``names`` times ``_YEAR_SPAN`` plus
     the citation year, so that sorted keys run journal first, then
     year.  :class:`CitationEvent` objects are built only on request.
-    The columns are not modified after load; the factor table is kept
-    while the catalog object and ``fallback_if`` stay the same.
+    Loaded with ``as_of``, it keeps only the rows of that window, and
+    refuses a longer one.  The columns are not modified after load; the
+    factor table is kept while the catalog object and ``fallback_if``
+    stay the same.
     """
 
     articles: dict[str, ArticleRecord]
@@ -168,6 +171,7 @@ class Ledger:
     groups: array
     spellings: list[str]
     names: list[str]
+    as_of: int | None = None
     _factors: _Factors | None = field(default=None, init=False, compare=False, repr=False)
 
     def article(self, article_id: str) -> ArticleRecord:
@@ -195,16 +199,19 @@ def load_ledger(
     citations_stream: IO[str],
     articles_source: str = "articles",
     citations_source: str = "citations",
+    as_of: int | None = None,
 ) -> Ledger:
     """Parse and cross-validate the two CSVs.
 
     Rejected with the offending line number: duplicate article ids,
     citations of unknown articles, and citations dated before the
     cited article was published.  Citations come out sorted by date
-    (then citing journal) per article.  Each distinct journal and date
-    cell is checked and parsed, and each distinct citing spelling
-    joined, only once.
+    (then citing journal) per article; with ``as_of``, every row is
+    checked, then those after its article's window are dropped.  Each
+    distinct journal and date cell is checked and parsed, each distinct
+    citing spelling joined, and each run of one id cell resolved, once.
     """
+    check_scoring(as_of)
     articles: dict[str, ArticleRecord] = {}
     # Both keyed by the raw cell: a cell seen before has passed csv_field,
     # and on a row of new cells the checks keep their order.
@@ -233,25 +240,31 @@ def load_ledger(
         articles[article_id] = ArticleRecord(journal, published, len(articles))
     del journals, dates
 
-    publication_days = [article.publication_date.toordinal() for article in articles.values()]
     # Keyed by the raw cell, so the common case costs one dict lookup per
     # cell; a spelling's trimmed form maps to the same id as its raw form.
     spelling_ids: dict[str, int] = {}
     spellings: list[str] = []
     ordinals: dict[str, int] = {}
-    row_article, row_day, row_spelling = [], [], []  # per row, in file order
+    runs: list[tuple[int, int]] = []  # (position, first kept row) per run of one raw id cell
+    row_day, row_spelling = [], []  # per kept row, in file order
+    last, no_cut = None, dt.date.max.toordinal()
     for lineno, (article_id, journal_raw, date_raw) in read_csv(
             citations_stream, CITATIONS_HEADER, citations_source):
-        article = articles.get(article_id)
-        if article is None:  # try the trimmed cell, refusing a carriage return
-            article_id = csv_field(article_id, citations_source, lineno)
-            article = articles.get(article_id)
-            if article is None:
-                raise InputError(
-                    f"{citations_source} line {lineno}: citation of unknown "
-                    f"article {article_id!r}"
-                )
-        i = article.position
+        if article_id != last:  # a run's first row resolves its id in full
+            last, article = article_id, articles.get(article_id)
+            if article is None:  # try the trimmed cell, refusing a carriage return
+                article_id = csv_field(article_id, citations_source, lineno)
+                article = articles.get(article_id)
+                if article is None:
+                    raise InputError(
+                        f"{citations_source} line {lineno}: citation of unknown "
+                        f"article {article_id!r}"
+                    )
+            cited_id, published = article_id, article.publication_date
+            pub_day, end_day = published.toordinal(), no_cut
+            if as_of is not None and published.year + as_of <= dt.MAXYEAR:
+                end_day = shift_years(published, as_of).toordinal()  # else scoring refuses it
+            runs.append((article.position, len(row_day)))
         s = spelling_ids.get(journal_raw)
         if s is None:
             s = spelling_ids[journal_raw] = _intern_spelling(
@@ -259,25 +272,27 @@ def load_ledger(
         cited = ordinals.get(date_raw)
         if cited is None:
             cited = ordinals[date_raw] = _parse_ordinal(date_raw, citations_source, lineno)
-        if cited < publication_days[i]:
+        if cited < pub_day:
             raise InputError(
                 f"{citations_source} line {lineno}: citation dated "
-                f"{dt.date.fromordinal(cited)} precedes publication of {article_id!r} "
-                f"({article.publication_date})"
+                f"{dt.date.fromordinal(cited)} precedes publication of {cited_id!r} "
+                f"({published})"
             )
-        row_article.append(i)
-        row_day.append(cited)
-        row_spelling.append(s)
-    del publication_days
+        if cited <= end_day:
+            row_day.append(cited)
+            row_spelling.append(s)
 
     canonical = [canonical_name(spelling) for spelling in spellings]
     names = sorted(set(canonical))
     name_rank = {name: rank for rank, name in enumerate(names)}
     spelling_rank = [name_rank[name] for name in canonical]
-    per_article = Counter(row_article)
+    sizes = list(map(sub, [first for _, first in runs[1:]] + [len(row_day)],
+                     [first for _, first in runs]))
+    per_article = [0] * len(articles)
+    for (i, _), size in zip(runs, sizes):
+        per_article[i] += size
     # From a list, which sizes the array exactly; an iterator over-allocates it.
-    offsets = array("q", list(accumulate(map(per_article.__getitem__, range(len(articles))),
-                                         initial=0)))
+    offsets = array("q", list(accumulate(per_article, initial=0)))
     # One stable sort of all rows by (article, date, canonical name), file
     # order kept on ties.  A key is a sum of three whole numbers, as floats
     # (which sort faster) while every key is below _FLOAT_WHOLE.  Each
@@ -289,9 +304,9 @@ def load_ledger(
     article_key = [exact(i * n_days * n_names) for i in range(len(articles))]
     day_key = {d: exact((d - first_day) * n_names) for d in days_seen}
     name_key = list(map(exact, spelling_rank))
-    keys = [article_key[i] + day_key[d] + name_key[s]
-            for i, d, s in zip(row_article, row_day, row_spelling)]
-    del per_article, row_article, article_key, day_key, name_key
+    row_article = chain.from_iterable(map(repeat, [article_key[i] for i, _ in runs], sizes))
+    keys = [a + day_key[d] + name_key[s] for a, d, s in zip(row_article, row_day, row_spelling)]
+    del per_article, runs, sizes, row_article, article_key, day_key, name_key
     order = sorted(range(len(keys)), key=keys.__getitem__)
     del keys
     days = list(map(row_day.__getitem__, order))
@@ -303,7 +318,7 @@ def load_ledger(
     groups = array("q", list(map(add, map(group_base.__getitem__, spelled),
                                  map(years.__getitem__, days))))
     return Ledger(articles, offsets, array("i", days), array("i", spelled), groups,
-                  spellings, names)
+                  spellings, names, as_of)
 
 
 def shift_years(day: dt.date, years: int) -> dt.date:
@@ -416,8 +431,8 @@ def _report_masses(ledger: Ledger, catalog: Catalog, article_id: str, years: Seq
     One key list grows over the anniversaries, each bisected on from the last stop."""
     table = factor_table(ledger, catalog, fallback_if)
     article = ledger.articles.get(article_id) or ledger.article(article_id)
-    start = stop = ledger.offsets[article.position]
-    end = ledger.offsets[article.position + 1]
+    start, end = window_rows(ledger, article_id, article, None)
+    stop = start
     try:
         publisher = table.publisher(article.journal)
         _check_catalogued(ledger, table, start, end)  # each window is a prefix of these rows
@@ -475,6 +490,9 @@ def window_rows(ledger: Ledger, article_id: str, article: ArticleRecord,
                 as_of: int | None) -> tuple[int, int]:
     """The one window rule: ``start, stop`` of the rows of ``article``, the record
     of ``article_id``, up to ``as_of`` years after publication (checked by the caller)."""
+    if ledger.as_of is not None and (as_of is None or as_of > ledger.as_of):
+        raise ValueError(f"as_of {as_of} reads citations the ledger dropped at load "
+                         f"(loaded with as_of {ledger.as_of})")
     start, stop = ledger.offsets[article.position], ledger.offsets[article.position + 1]
     if as_of is not None:
         stop = bisect_right(ledger.days, _last_day(article_id, article, as_of), start, stop)

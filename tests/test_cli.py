@@ -353,6 +353,21 @@ class TestScore:
         assert code == 1
         assert "invalid int value" in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("a-1,Beta Annals,2013-02-30", "malformed date '2013-02-30' (expected YYYY-MM-DD)"),
+        ("a-9,Beta Annals,2013-06-15", "citation of unknown article 'a-9'"),
+        ("a-1,Beta Annals,2011-04-30",
+         "citation dated 2011-04-30 precedes publication of 'a-1' (2011-05-01)"),
+    ], ids=["malformed-date", "unknown-id", "before-publication"])
+    def test_rows_after_the_window_are_still_checked(self, capsys, tmp_path, data, row,
+                                                     message):
+        # With --as-of 1, lines 3 to 5 fall after their windows and are dropped at load.
+        argv = list(data)
+        argv[5] = write(tmp_path / "late.csv",
+                        CITATIONS + "a-1,Gamma Reports,2014-01-01\n" + row + "\n")
+        code, out, err = run(capsys, "score", *argv, "--all", "--as-of", "1")
+        assert (code, out, err) == (1, "", f"error: {argv[5]} line 6: {message}\n")
+
 
 # -- rank --------------------------------------------------------------
 

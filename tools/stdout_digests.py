@@ -18,7 +18,9 @@ and ``rank --matthew`` as JSON and CSV on ids, journals and categories
 that hold quotes, backslashes, commas and non-ASCII characters, so the
 writers' escaping and quoting are compared too, and a ``dynamics``
 report as CSV and JSON on an article published on a leap day, whose
-anniversary windows end on Feb 28 and then on Feb 29.
+anniversary windows end on Feb 28 and then on Feb 29, with two
+``score --as-of`` calls on it: one whose window ends on the Feb-28
+citation and one that drops the Feb-29 citation at load.
 
 Prints ``case  version  sha256`` for each case and interpreter, the
 running interpreter first, after one ``# version: path`` line per
@@ -93,6 +95,9 @@ b\3,東京 Review,2015-05-05
 LEAP_CASES = {
     "leap-dynamics-csv": ["dynamics", "l-1", "--years", "1,2,3,4"],
     "leap-dynamics-json": ["dynamics", "l-1", "--years", "1,2,3,4", "--format", "json"],
+    "leap-score-as-of-1-json": ["score", "l-1", "--as-of", "1", "--if-mode", "historical",
+                                "--format", "json"],
+    "leap-score-all-as-of-3-csv": ["score", "--all", "--as-of", "3"],
 }
 # Cited on the first anniversary (Feb 28) and on the fourth (Feb 29).
 LEAP = {
