@@ -61,8 +61,11 @@ def compute_beta(phi: int) -> float:
 def compute_i3(f: float, beta: float) -> float:
     """Individual impact index ``1 - exp(-beta * f)``.
 
-    Strictly increasing in both arguments, 0 at ``f = 0``, and always
-    below 1 (saturating scores clamp to the largest double under 1.0).
+    The exact function is strictly increasing in both arguments; it is
+    0 at ``f = 0`` and always below 1.  The computed index saturates:
+    scores that round to 1.0 clamp to ``_ONE_BELOW``, the largest
+    double under 1.0, and stay flat there however much ``f`` grows;
+    :func:`i3_auc` breaks the ties.
     """
     _check_f(f)
     _check_beta(beta)
@@ -108,10 +111,17 @@ def i3_auc(f_upper: float, beta: float) -> float:
     """Area under the index curve from 0 to ``f_upper``.
 
     Closed form of the definite integral of ``1 - exp(-beta * u)``:
-    ``f_upper + (exp(-beta * f_upper) - 1) / beta``.  Non-negative and
-    strictly increasing in ``f_upper``, and it keeps growing roughly
-    linearly after the score itself has saturated, which is what makes
-    it usable as a tie-breaker between highly cited articles.
+    ``f_upper + (exp(-beta * f_upper) - 1) / beta``.  Non-negative, and
+    the exact area is strictly increasing in ``f_upper``; it keeps
+    growing roughly linearly after the score itself has saturated, which
+    is what makes it usable as a tie-breaker between highly cited
+    articles.  The computed area can fall by one ulp where ``f_upper``
+    rises by one: at ``compute_beta(98)``, ``f_upper = 15.517`` gives
+    0.12961631420127162 and ``nextafter(15.517, inf)`` gives
+    0.12961631420126984.  Of 1,000,000 adjacent-ulp pairs at that beta,
+    ``f_upper`` drawn uniform in [0, 50) by ``random.Random(1)``,
+    127,059 invert.  ROADMAP item 5, "an exact tie-break order", covers
+    what this does to the rank order.
     """
     _check_f(f_upper, name="f_upper")
     _check_beta(beta)

@@ -8,14 +8,10 @@ keeps full double precision instead.
 
 Every CSV the package reads goes through :func:`read_csv`: one
 header check, one row arity check, one line numbering, one output
-shape, ``(lineno, row)`` pairs.  Every CSV it writes goes through
-:func:`csv_text`, the one ``csv.writer`` call, except the two hot
-stdout tables of :mod:`ranking` and the three files of :mod:`generate`.
-The tables format each line themselves, with their free-text cells
-through :func:`csv_cell`, ``csv.writer``'s quoting rule for this
-dialect.  The generator formats its lines directly: it builds every
-field from ASCII letters, digits, ``-``, ``.`` and ``_``, none of which
-``csv.writer`` quotes.  Every JSON document it writes is the bytes of
+shape, ``(lineno, row)`` pairs.  Every cell it writes goes through
+:func:`csv_cell`, the one quoting rule, except those of the three files
+of :mod:`generate`, which are built from ASCII letters, digits, ``-``,
+``.`` and ``_`` alone.  Every JSON document it writes is the bytes of
 :func:`json_text`; lists of records go through :func:`json_records`.
 
 The reader takes lines in blocks.  A block of plain lines (unquoted
@@ -30,7 +26,6 @@ UTF-8 are input errors naming the file.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -150,8 +145,7 @@ def csv_field(raw: str, source: str, lineno: int) -> str:
     """A cell trimmed of surrounding whitespace.
 
     A carriage return anywhere in it is refused here, where the line
-    number is known: the CSV output could not print it back (the
-    standard writer leaves it unquoted, which splits the row).
+    number is known: :func:`csv_cell` refuses to print it back.
     """
     if "\r" in raw:
         raise InputError(f"{source} line {lineno}: field {raw!r} contains a carriage return")
@@ -159,10 +153,9 @@ def csv_field(raw: str, source: str, lineno: int) -> str:
 
 
 def csv_cell(text: str) -> str:
-    """``text`` as one cell of a line, as :func:`csv_text` spells it.
+    """``text`` as one cell of a line, quoted if it holds a comma, a quote or a line feed.
 
-    For the line writers that format their rows themselves; a carriage
-    return is refused, as :func:`csv_text` refuses it.
+    A carriage return is refused, as :func:`csv_field` refuses it on input.
     """
     if "\r" in text:
         raise ValueError("cannot write a CSV field that contains a carriage return")
@@ -172,18 +165,12 @@ def csv_cell(text: str) -> str:
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
-    """Rows as CSV text, one ``\\n``-terminated line each; ``None`` prints empty.
+    """Rows as CSV text, one ``\\n``-terminated line each, every cell through :func:`csv_cell`.
 
-    Fields holding a comma, a quote or a line feed are quoted.  The
-    standard writer leaves a bare carriage return unquoted, which
-    would split the row on reading, so such a field is refused.
+    ``None`` prints empty and any other value as ``str`` spells it.
     """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    text = out.getvalue()
-    if "\r" in text:
-        raise ValueError("cannot write a CSV field that contains a carriage return")
-    return text
+    return "".join([",".join(["" if cell is None else csv_cell(str(cell)) for cell in row]) + "\n"
+                    for row in rows])
 
 
 def chunked_text(head: str, lines) -> str:

@@ -18,11 +18,11 @@ loop over ``getrandbits`` (see :func:`_below`), with the bit length of
 each bound computed once, and each float is the stdlib's own formula
 for ``paretovariate`` or ``uniform`` over ``random()``, so the stream
 and the values stay those of the stdlib calls.  Every line, the
-catalog's too, is formatted directly with no ``csv.writer``: each field
-is built here from ASCII letters, digits, ``-``, ``.`` and (in the
-headers) ``_``, so none would be quoted.  The articles and citations
-files take their lines every ``_BLOCK`` articles, so memory is bounded
-by one block, not by the corpus.
+catalog's too, is formatted directly, not through ``formats.csv_cell``:
+each field is built here from ASCII letters, digits, ``-``, ``.`` and
+(in the headers) ``_``, so none would be quoted.  The articles and
+citations files take their lines every ``_BLOCK`` articles, so memory
+is bounded by one block, not by the corpus.
 """
 
 from __future__ import annotations

@@ -35,6 +35,8 @@ from i3metrics.ranking import (
     score_articles,
 )
 
+from test_formats import NUL, csv_writer_text
+
 BETA = 0.00115129
 
 
@@ -420,21 +422,22 @@ class TestSerialization:
                              for i, (r, c) in enumerate(zip(ranked, ranked.rank_citations), 1)]
 
 
-# Commas, quotes, line feeds, spaces, NUL, non-ASCII, and the empty string.
-free_text = st.text(alphabet='ab ,"\n\0é', max_size=4)
+# Commas, quotes, line feeds, spaces, non-ASCII, the empty string, and NUL
+# where csv.writer can write it.
+free_text = st.text(alphabet='ab ,"\né' + NUL, max_size=4)
 
 
 def csv_writer_reports(reports):
     """``reports_to_csv`` as ``csv.writer`` prints it."""
-    return csv_text([REPORT_HEADER] + [
+    return csv_writer_text([REPORT_HEADER] + [
         (r.article_id, r.category, r.phi, fmt_beta(r.beta), fmt_score(r.f_score),
          fmt_score(r.i3), r.citation_count, i, c) for r, i, c in ranked_rows(reports)])
 
 
 def csv_writer_matthew(summary):
     """``matthew_to_csv`` as ``csv.writer`` prints it."""
-    return csv_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER]
-                    + [(r.article_id, i, c, c - i) for r, i, c in ranked_rows(summary.ranked)])
+    return csv_writer_text([("improved_by_i3_rank", summary.improved), MATTHEW_HEADER] + [
+        (r.article_id, i, c, c - i) for r, i, c in ranked_rows(summary.ranked)])
 
 
 # Cells that need quoting: a comma, a quote, a line feed; and a non-ASCII one.
@@ -443,14 +446,15 @@ CHUNK = formats._CHUNK_LINES
 
 
 class TestLineWriters:
-    """The cell quoting and the CSV line writers against ``csv_text`` (``csv.writer``)."""
+    """The cell quoting and the CSV line writers against ``csv.writer``."""
 
     @given(st.lists(st.tuples(free_text, free_text, st.integers(min_value=0, max_value=50),
                               st.sampled_from([0.0, 6.0, 1e20])),
                     min_size=2, max_size=8))
     def test_lines_are_those_of_csv_writer(self, rows):
         for article_id, category, _, _ in rows:
-            assert f"{csv_cell(article_id)},{csv_cell(category)}\n" == csv_text([(article_id, category)])
+            assert (f"{csv_cell(article_id)},{csv_cell(category)}\n"
+                    == csv_writer_text([(article_id, category)]))
         reports = [report(article_id, f, category=category, citations=n)
                    for article_id, category, n, f in rows]
         ranked = rank(reports)

@@ -11,16 +11,21 @@ the small corpus ``ESCAPED`` and each case of ``LEAP_CASES`` on the
 small corpus ``LEAP``, both written out below, as
 ``PYTHON -m i3metrics.cli ...`` under the running interpreter and under
 each given one, one process per case, with the package imported from
-``src/``.  The cases are the nine commands of
-``tests/test_stdout_bytes.py``, ``catalog-stats`` as JSON, one
-ten-anniversary ``dynamics`` report as JSON, and ``score --all`` as JSON
-and ``rank --matthew`` as JSON and CSV on ids, journals and categories
-that hold quotes, backslashes, commas and non-ASCII characters, so the
-writers' escaping and quoting are compared too, and a ``dynamics``
-report as CSV and JSON on an article published on a leap day, whose
-anniversary windows end on Feb 28 and then on Feb 29, with two
-``score --as-of`` calls on it: one whose window ends on the Feb-28
-citation and one that drops the Feb-29 citation at load.
+``src/``.  The cases are:
+
+- the nine commands of ``tests/test_stdout_bytes.py``, ``catalog-stats``
+  as JSON and one ten-anniversary ``dynamics`` report as JSON;
+- on ids, journals and categories that hold quotes, backslashes, commas
+  and non-ASCII characters: ``score --all`` as JSON, ``rank --matthew``
+  as JSON and CSV, ``catalog-stats`` as CSV (the category
+  ``Bio "Marine", Deep`` among its rows) and a ``dynamics`` report on
+  the id ``a,1`` as CSV.  So the writers' escaping and quoting are
+  compared too, in the hot tables' line writers and in
+  ``formats.csv_text``;
+- a ``dynamics`` report as CSV and JSON on an article published on a
+  leap day, whose anniversary windows end on Feb 28 and then on Feb 29,
+  with two ``score --as-of`` calls on it: one whose window ends on the
+  Feb-28 citation and one that drops the Feb-29 citation at load.
 
 Prints ``case  version  sha256`` for each case and interpreter, the
 running interpreter first, after one ``# version: path`` line per
@@ -64,6 +69,8 @@ ESCAPED_CASES = {
     "escaped-score-all-json": ["score", "--all", "--format", "json"],
     "escaped-rank-matthew-json": ["rank", "--matthew", "--format", "json"],
     "escaped-rank-matthew-csv": ["rank", "--matthew"],
+    "escaped-catalog-stats-csv": ["catalog-stats"],
+    "escaped-dynamics-csv": ["dynamics", "a,1", "--years", "1,2,3,5"],
 }
 # Quotes, backslashes and commas in cells, non-ASCII ones and an astral one.
 ESCAPED = {
