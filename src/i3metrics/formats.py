@@ -14,13 +14,14 @@ of :mod:`generate`, which are built from ASCII letters, digits, ``-``,
 ``.`` and ``_`` alone.  Every JSON document it writes is the bytes of
 :func:`json_text`; lists of records go through :func:`json_records`.
 
-The reader takes lines in blocks.  A block of plain lines (unquoted
-cells, the header's number of commas, a line feed at the end, no
-carriage return or NUL) is split with ``str`` methods.  From the first
-block that is not plain, ``csv.reader`` reads the rest of the file one
-record at a time.  Either way the records, errors and line numbers are
-the same.  A cell over the ``csv`` field limit and a byte that is not
-UTF-8 are input errors naming the file.
+The reader is one generator that takes lines in blocks.  A block of
+plain lines (unquoted cells, the header's number of commas, a line feed
+at the end, no carriage return or NUL) is split with ``str`` methods;
+from the first block that is not plain, ``csv.reader`` reads the rest
+one record at a time, with the same records, errors and line numbers.
+Each fault has one error path: a ``csv.Error`` (a cell over the field
+limit, a NUL before Python 3.11) names the line its record starts on, a
+byte that is not UTF-8 the file.
 """
 
 from __future__ import annotations
@@ -74,28 +75,27 @@ def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]
     """Yield ``(lineno, row)`` for each record after a required header.
 
     The header cells must equal ``header`` once trimmed (a header has
-    two fields or more, so a blank line is never plain), every record
-    must have as many fields, and blank lines are skipped.  Up to
-    ``_BLOCK`` plain lines at a time are split with ``str`` methods; the
-    first block that is not plain and the rest of the stream go through
-    ``csv.reader``.  ``lineno`` is the physical line a record starts on,
-    so it stays right after a quoted cell that spans lines.  Cells come
-    back raw, in a tuple or a list; see :func:`csv_field`.
+    two fields or more, so a blank line is never plain) and hold no NUL,
+    every record must have as many fields, and blank lines are skipped.
+    Up to ``_BLOCK`` plain lines at a time are split with ``str``
+    methods; the first block that is not plain and the rest of the
+    stream go through ``csv.reader``.  ``lineno`` is the physical line a
+    record starts on, even after a quoted cell that spans lines.  One
+    ``except`` per fault: a ``csv.Error`` names the line after the last
+    record read, a decode error the file alone.  Cells come back raw,
+    in a tuple or a list; see :func:`csv_field`.
     """
-    lines = iter(stream)
-    reader = csv.reader(lines)
+    lines, end = iter(stream), 0
     try:
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise InputError(f"{source}: empty file, expected header {','.join(header)}") from None
-        except csv.Error as exc:
-            raise InputError(f"{source} line 1: {exc}") from None
+        reader = csv.reader(lines)
+        first = next(reader, None)
+        if first is None:
+            raise InputError(f"{source}: empty file, expected header {','.join(header)}")
+        if "\0" in "".join(first):  # as csv.reader refuses it before Python 3.11
+            raise InputError(f"{source} line 1: line contains NUL")
         if [cell.strip() for cell in first] != header:
-            raise InputError(
-                f"{source} line 1: expected header {','.join(header)}, "
-                f"got {','.join(first)}"
-            )
+            raise InputError(f"{source} line 1: expected header {','.join(header)}, "
+                             f"got {','.join(first)}")
         width, end = len(header), reader.line_num
         plain_line, limit = b"," * (width - 1) + b"\n", csv.field_size_limit()
         while block := list(islice(lines, _BLOCK)):
@@ -105,50 +105,38 @@ def read_csv(stream: IO[str], header: list[str], source: str) -> Iterator[tuple]
             # A line longer than the field limit may hold a field csv.reader refuses.
             if (skeleton != plain and skeleton != plain[:-1]
                     or len(text) > limit and max(map(len, block)) > limit):
-                yield from _rows(chain(block, lines), width, source, end)
+                reader, start = csv.reader(chain(block, lines)), end
+                for row in reader:
+                    lineno, end = end + 1, start + reader.line_num
+                    if not row:
+                        continue
+                    if len(row) != width:
+                        raise InputError(f"{source} line {lineno}: expected {width} "
+                                         f"fields, got {len(row)}")
+                    yield lineno, row
                 return
             # zip drops the empty cell after a final line feed.
             cells = iter(text.replace("\n", ",").split(","))
             yield from zip(range(end + 1, end + count + 1), zip(*[cells] * width))
             end += count
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(source, exc) from None
-
-
-def _rows(lines: Iterator[str], width: int, source: str,
-          end: int) -> Iterator[tuple[int, list[str]]]:
-    """``(lineno, row)`` for each record ``csv.reader`` reads from ``lines``, which follow line ``end``."""
-    reader, start = csv.reader(lines), end
-    try:
-        for row in reader:
-            lineno, end = end + 1, start + reader.line_num
-            if not row:
-                continue
-            if len(row) != width:
-                raise InputError(
-                    f"{source} line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            yield lineno, row
     except csv.Error as exc:
         raise InputError(f"{source} line {end + 1}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(source, exc) from None
-
-
-def _not_utf8(source: str, exc: UnicodeDecodeError) -> InputError:
-    """The error for a file that does not decode; the stream decodes in chunks, so no line."""
-    return InputError(f"{source}: not valid UTF-8 ({exc.reason}: "
-                      f"0x{exc.object[exc.start:exc.end].hex()})")
+    except UnicodeDecodeError as exc:  # the stream decodes in chunks, so no line
+        raise InputError(f"{source}: not valid UTF-8 ({exc.reason}: "
+                         f"0x{exc.object[exc.start:exc.end].hex()})") from None
 
 
 def csv_field(raw: str, source: str, lineno: int) -> str:
     """A cell trimmed of surrounding whitespace.
 
     A carriage return anywhere in it is refused here, where the line
-    number is known: :func:`csv_cell` refuses to print it back.
+    number is known: :func:`csv_cell` refuses to print it back.  So is a
+    NUL, in the words ``csv.reader`` refuses it with before Python 3.11.
     """
     if "\r" in raw:
         raise InputError(f"{source} line {lineno}: field {raw!r} contains a carriage return")
+    if "\0" in raw:
+        raise InputError(f"{source} line {lineno}: line contains NUL")
     return raw.strip()
 
 

@@ -219,8 +219,9 @@ def load_ledger(
     dates: dict[str, dt.date] = {}
     for lineno, (article_id, journal_raw, date_raw) in read_csv(
             articles_stream, ARTICLES_HEADER, articles_source):
-        article_id = (csv_field(article_id, articles_source, lineno) if "\r" in article_id
-                      else article_id.strip())  # csv_field only to refuse a CR
+        article_id = (csv_field(article_id, articles_source, lineno)
+                      if "\r" in article_id or "\0" in article_id
+                      else article_id.strip())  # csv_field only to refuse a CR or NUL
         journal = journals.get(journal_raw)
         if journal is None:
             journal = journals[journal_raw] = csv_field(journal_raw, articles_source, lineno)
@@ -252,7 +253,7 @@ def load_ledger(
             citations_stream, CITATIONS_HEADER, citations_source):
         if article_id != last:  # a run's first row resolves its id in full
             last, article = article_id, articles.get(article_id)
-            if article is None:  # try the trimmed cell, refusing a carriage return
+            if article is None:  # try the trimmed cell, refusing a CR or NUL
                 article_id = csv_field(article_id, citations_source, lineno)
                 article = articles.get(article_id)
                 if article is None:

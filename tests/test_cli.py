@@ -1071,6 +1071,31 @@ class TestUnreadableFiles:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: not valid UTF-8 (invalid start byte: 0xff)\n"
 
+    # One NUL per case, each in a cell no earlier check of its row reads.
+    @pytest.mark.parametrize("flag, old, new, line", [
+        ("--articles", "a-2,", "a\0-2,", 3),
+        ("--articles", "Beta Annals,", "Beta\0Annals,", 3),
+        ("--articles", "2011-05-01", "2011-05\0-01", 2),
+        ("--citations", "a-2,", "a-2\0,", 4),
+        ("--citations", "a-1,Beta Annals", "a-1,Beta Annals\0", 2),
+        ("--citations", "2013-06-15", "\x002013-06-15", 3),
+        ("--catalog", "bio,Gamma", "b\0io,Gamma", 5),
+        ("--citations", "citing_journal", "citing\0journal", 1),
+        ("--articles", "a-2,Beta Annals,", 'a-2,"Beta\nAnn\0als",', 3),
+    ], ids=["article-id", "article-journal", "article-date", "citation-id",
+            "citation-journal", "citation-date", "catalog-cell", "header-cell",
+            "quoted-second-line"])
+    def test_a_nul_is_refused_on_every_interpreter(self, capsys, data, flag, old, new, line):
+        # csv.reader refuses a NUL before Python 3.11 and reads it as data
+        # from then on; the loaders refuse it in the same words either way.
+        path = Path(data[data.index(flag) + 1])
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) >= 1
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        code, out, err = run(capsys, "score", "--all", *data)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} line {line}: line contains NUL\n"
+
 
 class TestErrorOrder:
     """Flags are checked before any file is read; then f_score's order holds."""

@@ -24,11 +24,13 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from i3metrics import formats
 from i3metrics.catalog import load_catalog
 from i3metrics.cli import main
 from i3metrics.errors import InputError
@@ -235,3 +237,25 @@ def test_main_keeps_its_contract(data, seed, bases, workdir):
             finite_numbers(json.loads(out))
         else:
             check_csv(out)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), seed=st.sampled_from(SEEDS), block=st.sampled_from([1, 2, 2048]))
+def test_one_nul_anywhere_is_refused_on_every_interpreter(data, seed, block, bases, workdir):
+    rows = {name: [list(row) for row in bases[seed][name]] for name in FILES}
+    name = data.draw(st.sampled_from(FILES))
+    r = data.draw(st.integers(0, len(rows[name]) - 1))
+    c = data.draw(st.integers(0, len(rows[name][r]) - 1))
+    at = data.draw(st.integers(0, len(rows[name][r][c])))
+    rows[name][r][c] = rows[name][r][c][:at] + "\0" + rows[name][r][c][at:]
+    paths = {}
+    for f in FILES:  # gen cells need no quoting, and csv.writer cannot write NUL on 3.10
+        paths[f] = workdir / f"{f}.csv"
+        paths[f].write_text("".join(",".join(row) + "\n" for row in rows[f]), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(formats, "_BLOCK", block):
+        code = main(["score", "--all", *(arg for f in FILES for arg in (f"--{f}", str(paths[f])))])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue() == f"error: {paths[name]} line {r + 1}: line contains NUL\n"

@@ -288,6 +288,19 @@ def test_a_header_cell_over_the_field_limit_is_an_input_error():
     assert str(info.value) == f"f.csv line 1: field larger than field limit ({limit})"
 
 
+def test_a_cell_over_the_field_limit_after_plain_blocks_names_its_record_line():
+    # The header and the tail share one csv.Error handler; its line is
+    # the one after the last record read, here by the plain block.
+    limit = csv.field_size_limit()
+    text = "id,name,day\n1,a,x\n2,b,y\n3," + "x" * (limit + 1) + ",z\n"
+    with mock.patch.object(formats, "_BLOCK", 2):
+        read = read_csv(io.StringIO(text), HEADER, "f.csv")
+        assert [next(read), next(read)] == [(2, ("1", "a", "x")), (3, ("2", "b", "y"))]
+        with pytest.raises(InputError) as info:
+            next(read)
+    assert str(info.value) == f"f.csv line 4: field larger than field limit ({limit})"
+
+
 def test_a_byte_that_is_not_utf8_after_the_switch_to_csv_reader_is_an_input_error():
     # The quoted first row hands the file to csv.reader; the stream decodes
     # 8 KiB chunks, so the bad byte is met while csv.reader reads.

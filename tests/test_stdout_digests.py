@@ -17,7 +17,7 @@ def test_prints_the_pinned_digests_and_exits_0_with_one_interpreter():
     lines = done.stdout.splitlines()
     assert lines[0].startswith("# ") and lines[0].endswith(f": {sys.executable}")
     found = {name: digest for name, _, digest in map(str.split, lines[1:])}
-    assert len(found) == len(lines) - 1 == 20
+    assert len(found) == len(lines) - 1 == 21
     # The nine commands of the byte guard print the digests it pins.
     assert {name: found[name] for name in COMMANDS} == {
         name: digest for name, (_, digest) in COMMANDS.items()}

@@ -7,8 +7,9 @@ Usage::
 Writes ``gen --articles 2000 --categories 20 --seed 5`` once, with the
 running interpreter, into a temporary directory.  Then it runs each
 case of ``CASES`` on that corpus, each case of ``ESCAPED_CASES`` on
-the small corpus ``ESCAPED`` and each case of ``LEAP_CASES`` on the
-small corpus ``LEAP``, both written out below, as
+the small corpus ``ESCAPED``, each case of ``LEAP_CASES`` on the small
+corpus ``LEAP`` and each case of ``FAILING_CASES`` on the small corpus
+``NUL``, all written out below, as
 ``PYTHON -m i3metrics.cli ...`` under the running interpreter and under
 each given one, one process per case, with the package imported from
 ``src/``.  The cases are:
@@ -25,13 +26,19 @@ each given one, one process per case, with the package imported from
 - a ``dynamics`` report as CSV and JSON on an article published on a
   leap day, whose anniversary windows end on Feb 28 and then on Feb 29,
   with two ``score --as-of`` calls on it: one whose window ends on the
-  Feb-28 citation and one that drops the Feb-29 citation at load.
+  Feb-28 citation and one that drops the Feb-29 citation at load;
+- ``score --all`` on an article id holding a NUL, which must fail the
+  same way everywhere.
 
 Prints ``case  version  sha256`` for each case and interpreter, the
 running interpreter first, after one ``# version: path`` line per
 interpreter.  A case that exits non-zero or writes to stderr prints
-``error`` and its exit status instead of a digest.  Exits 1 if any
-digest differs from the running interpreter's, else 0.  Stdlib only.
+``error`` and its exit status instead of a digest.  A case of
+``FAILING_CASES`` prints ``exitN:`` and the sha256 of its stderr, with
+the corpus directory cut out of the text, whatever its exit status.
+Exits 1 if any digest differs from the running interpreter's, if a
+case of ``FAILING_CASES`` exits 0 or any other case fails under the
+running interpreter, else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -121,6 +128,15 @@ l-1,Cite Review,2017-02-28
 l-1,Leap Letters,2020-02-29
 """,
 }
+FAILING_CASES = {
+    "nul-article-id-score-csv": ["score", "--all"],
+}
+# An article id holding a NUL; Python 3.10's csv.reader refuses the line.
+NUL = {
+    "catalog": "category,journal,issn,year,impact_factor\nc,J,,2010,1.0\n",
+    "articles": "article_id,journal,publication_date\na\0x,J,2011-01-01\n",
+    "citations": "article_id,citing_journal,citation_date\n",
+}
 
 
 def _run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
@@ -130,19 +146,28 @@ def _run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, timeout=600)
 
 
-def digests(python: str, corpus: Path, escaped: Path, leap: Path) -> dict[str, str]:
-    """The sha256 of each case's stdout under ``python``, or ``error (exit N)``."""
+def digests(python: str, corpus: Path, escaped: Path, leap: Path,
+            nul: Path) -> dict[str, str]:
+    """The sha256 of each case's stdout under ``python``, or ``error (exit N)``.
+
+    A failing case gives ``exitN:`` and the sha256 of its stderr.
+    """
     out = {}
     cases = [(name, argv, corpus) for name, argv in CASES.items()]
     cases += [(name, argv, escaped) for name, argv in ESCAPED_CASES.items()]
     cases += [(name, argv, leap) for name, argv in LEAP_CASES.items()]
+    cases += [(name, argv, nul) for name, argv in FAILING_CASES.items()]
     for name, argv, root in cases:
         files = DATA[:1] if argv[0] == "catalog-stats" else DATA
         data = [arg for f in files for arg in (f"--{f}", str(root / f"{f}.csv"))]
         done = _run(python, argv + data)
-        out[name] = (hashlib.sha256(done.stdout).hexdigest()
-                     if done.returncode == 0 and not done.stderr
-                     else f"error (exit {done.returncode})")
+        if name in FAILING_CASES:
+            stderr = done.stderr.replace(os.fsencode(root), b"")
+            out[name] = f"exit{done.returncode}:{hashlib.sha256(stderr).hexdigest()}"
+        else:
+            out[name] = (hashlib.sha256(done.stdout).hexdigest()
+                         if done.returncode == 0 and not done.stderr
+                         else f"error (exit {done.returncode})")
     return out
 
 
@@ -156,26 +181,26 @@ def main(argv: list[str]) -> int:
     pythons = [sys.executable] + [p for p in argv
                                   if os.path.realpath(p) != os.path.realpath(sys.executable)]
     with tempfile.TemporaryDirectory() as tmp:
-        corpus, escaped, leap = Path(tmp) / "gen", Path(tmp) / "escaped", Path(tmp) / "leap"
+        corpus, escaped, leap, nul = (Path(tmp) / n for n in ("gen", "escaped", "leap", "nul"))
         done = _run(sys.executable, GEN + ["--out", str(corpus)])
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode("utf-8", "replace"))
             return 1
-        for root, files in ((escaped, ESCAPED), (leap, LEAP)):
+        for root, files in ((escaped, ESCAPED), (leap, LEAP), (nul, NUL)):
             root.mkdir()
             for name, text in files.items():
                 (root / f"{name}.csv").write_text(text, encoding="utf-8")
-        results = [(version(p), digests(p, corpus, escaped, leap)) for p in pythons]
+        results = [(version(p), digests(p, corpus, escaped, leap, nul)) for p in pythons]
     for python, (label, _) in zip(pythons, results):
         print(f"# {label}: {python}")
     reference = results[0][1]
     differ = 0
-    for name in [*CASES, *ESCAPED_CASES, *LEAP_CASES]:
+    for name in [*CASES, *ESCAPED_CASES, *LEAP_CASES, *FAILING_CASES]:
         for label, found in results:
             mark = "" if found[name] == reference[name] else "  differs"
             differ += bool(mark)
             print(f"{name:<34} {label:<8} {found[name]}{mark}")
-    return 1 if differ or any(d.startswith("error") for d in reference.values()) else 0
+    return 1 if differ or any(d.startswith(("error", "exit0:")) for d in reference.values()) else 0
 
 
 if __name__ == "__main__":
